@@ -1,6 +1,6 @@
 /// Scenario-runner scaling bench: the paper's "days in parallel on a single
 /// Frontier node" claim, restated for declarative batches. Runs the same
-/// 8-scenario what-if batch serially (--jobs 1) and on the full worker pool
+/// 8-scenario what-if batch serially (--jobs 1) and on every hardware thread
 /// and reports the wall-clock speedup plus per-scenario determinism (the
 /// concurrent batch must reproduce the serial one bit-for-bit).
 

@@ -1,112 +1,42 @@
 #include "common/thread_pool.hpp"
 
-#include <algorithm>
-
-#include "common/error.hpp"
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace exadigit {
 
-int resolve_thread_count(int threads) {
-  require(threads >= 0, "thread count must be >= 0 (0 = hardware concurrency)");
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-ThreadPool::ThreadPool(int threads) {
-  const int width = resolve_thread_count(threads);
-  lane_errors_.resize(static_cast<std::size_t>(width));
-  workers_.reserve(static_cast<std::size_t>(width - 1));
-  for (int lane = 1; lane < width; ++lane) {
-    workers_.emplace_back([this, lane] { worker_loop(lane); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::run_lane(int lane) {
-  const int w = width();
-  try {
-    if (job_.mode == Mode::kStatic) {
-      for (std::size_t i = static_cast<std::size_t>(lane); i < job_.n;
-           i += static_cast<std::size_t>(w)) {
-        (*job_.fn)(i);
-      }
-    } else {
-      for (;;) {
-        const std::size_t i = dynamic_cursor_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= job_.n) break;
-        (*job_.fn)(i);
-      }
-    }
-  } catch (...) {
-    lane_errors_[static_cast<std::size_t>(lane)] = std::current_exception();
-  }
-}
-
-void ThreadPool::worker_loop(int lane) {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stopping_ || epoch_ != seen_epoch; });
-      if (stopping_) return;
-      seen_epoch = epoch_;
-    }
-    run_lane(lane);
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --lanes_remaining_;
-    }
-    done_cv_.notify_one();
-  }
-}
-
-void ThreadPool::run_job(std::size_t n, const std::function<void(std::size_t)>& fn,
-                         Mode mode) {
-  if (n == 0) return;
-  const int w = width();
-  if (w == 1 || n == 1) {
-    // Degenerate widths take the plain serial loop: no locks, no wakeups.
+void parallel_for_dynamic(std::size_t n, std::size_t width,
+                          const std::function<void(std::size_t)>& fn) {
+  if (width <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::fill(lane_errors_.begin(), lane_errors_.end(), nullptr);
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::exception_ptr> lane_errors(width);
+  const auto run_lane = [&](std::size_t lane) {
+    try {
+      for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
+    } catch (...) {
+      lane_errors[lane] = std::current_exception();
+    }
+  };
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    job_ = Job{&fn, n, mode};
-    dynamic_cursor_.store(0, std::memory_order_relaxed);
-    lanes_remaining_ = w - 1;
-    ++epoch_;
+    // jthreads join on scope exit, including when a later spawn throws.
+    std::vector<std::jthread> workers;
+    workers.reserve(width - 1);
+    for (std::size_t lane = 1; lane < width; ++lane) workers.emplace_back(run_lane, lane);
+    run_lane(0);
   }
-  work_cv_.notify_all();
-  run_lane(0);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return lanes_remaining_ == 0; });
-    job_ = Job{};
-  }
-  // Rethrow the lowest lane's failure so the surfaced error does not depend
-  // on scheduling.
-  for (const std::exception_ptr& err : lane_errors_) {
+  // The lowest lane's failure, so the surfaced error does not depend on
+  // which thread was spawned first.
+  for (const std::exception_ptr& err : lane_errors) {
     if (err != nullptr) std::rethrow_exception(err);
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  run_job(n, fn, Mode::kStatic);
-}
-
-void ThreadPool::parallel_for_dynamic(std::size_t n,
-                                      const std::function<void(std::size_t)>& fn) {
-  run_job(n, fn, Mode::kDynamic);
 }
 
 }  // namespace exadigit

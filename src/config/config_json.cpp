@@ -24,6 +24,19 @@ PiecewiseLinearCurve curve_from_json(const Json& j) {
 
 namespace {
 
+/// Throws a ConfigError naming the first key of `obj` outside `known`, so a
+/// misspelt or removed key fails instead of silently running the default.
+void reject_unknown_keys(const Json& obj, const std::set<std::string>& known,
+                         const std::string& section) {
+  for (const auto& [key, value] : obj.as_object()) {
+    (void)value;
+    if (known.count(key) != 0) continue;
+    std::string valid;
+    for (const std::string& k : known) valid += valid.empty() ? k : ", " + k;
+    throw ConfigError("unknown " + section + " key \"" + key + "\" (valid: " + valid + ")");
+  }
+}
+
 Json node_to_json(const NodeConfig& n) {
   Json j;
   j["cpus_per_node"] = Json(n.cpus_per_node);
@@ -379,7 +392,6 @@ Json system_config_to_json(const SystemConfig& c) {
   sim["cooling_quantum_s"] = Json(c.simulation.cooling_quantum_s);
   sim["trace_quantum_s"] = Json(c.simulation.trace_quantum_s);
   sim["engine"] = Json(std::string(engine_mode_name(c.simulation.engine)));
-  sim["threads"] = Json(c.simulation.threads);
   j["simulation"] = sim;
   if (!c.partitions.empty()) {
     Json::Array parts;
@@ -442,6 +454,8 @@ SystemConfig system_config_from_json(const Json& j) {
   c.simulation = d.simulation;
   if (j.contains("simulation")) {
     const Json& s = j.at("simulation");
+    reject_unknown_keys(s, {"tick_s", "cooling_quantum_s", "trace_quantum_s", "engine"},
+                        "simulation");
     c.simulation.tick_s = s.number_or("tick_s", c.simulation.tick_s);
     c.simulation.cooling_quantum_s =
         s.number_or("cooling_quantum_s", c.simulation.cooling_quantum_s);
@@ -449,7 +463,6 @@ SystemConfig system_config_from_json(const Json& j) {
     if (s.contains("engine")) {
       c.simulation.engine = engine_mode_from_name(s.at("engine").as_string());
     }
-    c.simulation.threads = static_cast<int>(s.int_or("threads", c.simulation.threads));
   }
   if (j.contains("partitions")) {
     for (const auto& jp : j.at("partitions").as_array()) {

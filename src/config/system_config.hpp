@@ -273,11 +273,6 @@ struct SimulationConfig {
   double cooling_quantum_s = 15.0;  ///< FMU call cadence
   double trace_quantum_s = 15.0;    ///< CPU/GPU utilization trace resolution
   EngineMode engine = EngineMode::kEventDriven;
-  /// Worker-pool width for intra-run parallelism (dirty-rack power
-  /// re-evaluation, CDU hydraulic solves). 1 = serial (default); 0 = one
-  /// lane per hardware thread. Any width is bit-identical to serial — see
-  /// common/thread_pool.hpp for the determinism contract.
-  int threads = 1;
 };
 
 /// Complete machine + plant descriptor.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "cooling/fluid.hpp"
 #include "cooling/heat_exchanger.hpp"
 
@@ -334,7 +333,7 @@ void CoolingPlantModel::solve_hydraulics() {
   const double sec_scale = config_.cooling.cdu.secondary_design_flow_m3s;
   const std::size_t n = cdu_loops_.size();
 
-  // Phase A (serial decide). Copying loop j's result to loop i is only
+  // Phase A (decide). Copying loop j's result to loop i is only
   // exact when both would have started Newton from the same point — and
   // because classification happens before ANY of this step's solves run,
   // every network still holds its pre-step warm state, so the donor scan
@@ -371,12 +370,12 @@ void CoolingPlantModel::solve_hydraulics() {
     if (solve_actions_[i] == SolveAction::kSolve) solve_list_.push_back(i);
   }
 
-  // Phase B: the Newton solves. Each loop owns its network, warm state,
-  // and workspace, so shards are disjoint and every solve computes exactly
-  // the arithmetic the serial loop would — sharding across the pool cannot
-  // change a single bit of any solution.
-  const auto solve_one = [&](std::size_t k) {
-    auto& loop = cdu_loops_[solve_list_[k]];
+  // Phase B: the Newton solves, in ascending loop order. Each loop owns
+  // its network, warm state, and workspace, so no solve reads another's
+  // result; phase A has already fixed every donor against pre-step warm
+  // starts.
+  for (const std::size_t i : solve_list_) {
+    auto& loop = cdu_loops_[i];
     if (dedup) {
       loop.net.solve_into(loop.last_solution, sec_scale);
     } else {
@@ -384,15 +383,10 @@ void CoolingPlantModel::solve_hydraulics() {
       // benchmarks can measure the cost the fast path removed.
       loop.last_solution = loop.net.solve(sec_scale);
     }
-  };
-  if (pool_ != nullptr && pool_->width() > 1 && solve_list_.size() > 1) {
-    pool_->parallel_for(solve_list_.size(), solve_one);
-  } else {
-    for (std::size_t k = 0; k < solve_list_.size(); ++k) solve_one(k);
   }
 
-  // Phase C (serial apply, ascending loop order): donor copies, warm-state
-  // adoption, stats — identical order and counts to the serial pass.
+  // Phase C (apply, ascending loop order): donor copies, warm-state
+  // adoption, stats.
   for (std::size_t i = 0; i < n; ++i) {
     auto& loop = cdu_loops_[i];
     switch (solve_actions_[i]) {

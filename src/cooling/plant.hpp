@@ -35,16 +35,12 @@
 /// tests/cooling/plant_dedup_test.cpp asserts this across staging,
 /// blockage, and forced-pump churn.
 ///
-/// Deterministic parallel solves: solve_hydraulics is split into three
-/// phases — (A) serial decide: snapshot warm starts, refresh parameter
-/// keys, classify every CDU loop as skip / copy-from-donor / solve;
-/// (B) run the Newton solves, optionally sharded across a ThreadPool
-/// (each loop owns its network and workspace, so shards are disjoint and
-/// each solve computes exactly what the serial loop would); (C) serial
-/// ascending apply: donor copies, warm-state adoption, stats. Phases A/C
-/// run on the caller's thread in loop order, so results and counters are
-/// bit-identical for any pool width — tests/cooling/plant_parallel_test.cpp
-/// asserts threads∈{1,2,8} against serial.
+/// Three-phase hydraulics: solve_hydraulics (A) decides — refreshes
+/// parameter keys and classifies every CDU loop as skip /
+/// copy-from-donor / solve against the pre-step warm starts, before any
+/// solve runs (the donor match depends on that order); (B) runs the Newton
+/// solves; (C) applies donor copies, warm-state adoption, and stats in
+/// ascending loop order.
 
 #include <cstddef>
 #include <limits>
@@ -59,8 +55,6 @@
 #include "cooling/pump.hpp"
 
 namespace exadigit {
-
-class ThreadPool;
 
 /// Per-step boundary conditions supplied by RAPS / telemetry.
 struct CoolingInputs {
@@ -173,11 +167,6 @@ class CoolingPlantModel {
   void set_thermal_eval(ThermalEval eval) { thermal_eval_ = eval; }
   [[nodiscard]] ThermalEval thermal_eval() const { return thermal_eval_; }
 
-  /// Installs a worker pool for phase-B hydraulic solves (see the file
-  /// header); nullptr (the default) or a width-1 pool runs serially.
-  /// The pool is borrowed, not owned, and must outlive the plant's steps.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  [[nodiscard]] ThreadPool* thread_pool() const { return pool_; }
   /// Solve/reuse counters since the last reset().
   [[nodiscard]] const HydraulicsStats& hydraulics_stats() const {
     return hydraulics_stats_;
@@ -277,8 +266,6 @@ class CoolingPlantModel {
   std::vector<double> th_c_sec_;
   std::vector<double> th_c_pri_;
   std::vector<HxResult> th_hx_;
-
-  ThreadPool* pool_ = nullptr;  ///< borrowed; nullptr = serial
 
   PlantOutputs outputs_;
   double time_s_ = 0.0;

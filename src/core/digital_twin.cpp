@@ -10,17 +10,11 @@ DigitalTwin::DigitalTwin(const SystemConfig& config)
 
 DigitalTwin::DigitalTwin(const SystemConfig& config, const DigitalTwinOptions& options)
     : config_(config),
-      pool_(config.simulation.threads != 1
-                ? std::make_unique<ThreadPool>(
-                      resolve_thread_count(config.simulation.threads))
-                : nullptr),
       engine_(config, RapsEngine::Options{options.start_time_s, options.collect_series,
                                           options.power_eval}),
       collect_series_(options.collect_series) {
-  engine_.set_thread_pool(pool_.get());
   if (options.enable_cooling) {
     fmu_ = std::make_unique<CoolingFmu>(config);
-    fmu_->plant().set_thread_pool(pool_.get());
     fmu_->plant().reset(options.ambient_c);
     cooling_synced_s_ = options.start_time_s;
     cdu_series_.resize(static_cast<std::size_t>(config_.cdu_count));

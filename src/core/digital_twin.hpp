@@ -29,7 +29,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/thread_pool.hpp"
 #include "common/time_series.hpp"
 #include "fmi/cooling_fmu.hpp"
 #include "raps/engine.hpp"
@@ -113,17 +112,9 @@ class DigitalTwin {
 
   [[nodiscard]] Report report() const { return engine_.report(); }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  /// Worker-pool lanes this twin runs with (1 = serial, the default).
-  [[nodiscard]] int threads() const { return pool_ != nullptr ? pool_->width() : 1; }
 
  private:
   SystemConfig config_;
-  /// Worker pool for intra-run parallelism, created when
-  /// SimulationConfig::threads != 1 and shared by the power model and the
-  /// cooling plant (both use it only from this twin's calling thread, never
-  /// concurrently with each other). Declared before engine_/fmu_ so it
-  /// outlives every borrower.
-  std::unique_ptr<ThreadPool> pool_;
   RapsEngine engine_;
   std::unique_ptr<CoolingFmu> fmu_;
   /// Simulated time the plant has been stepped to; callbacks and the

@@ -97,9 +97,6 @@ class RapsEngine {
   [[nodiscard]] std::size_t queued_count() const { return scheduler_.queue_depth(); }
   [[nodiscard]] const std::vector<RunningJob>& running_jobs() const { return running_; }
   [[nodiscard]] const RapsPowerModel& power_model() const { return power_; }
-  /// Installs a worker pool on the power model for deterministic sharded
-  /// advance/refresh stages (see power_model.hpp); nullptr = serial.
-  void set_thread_pool(ThreadPool* pool) { power_.set_thread_pool(pool); }
   [[nodiscard]] const NodeAllocator& allocator() const { return allocator_; }
   [[nodiscard]] const PowerSample& power() const { return power_.sample(); }
   [[nodiscard]] std::vector<double> cdu_heat_w() const { return power_.cdu_heat_w(); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace exadigit {
 
@@ -158,51 +157,16 @@ void RapsPowerModel::on_job_stop(int handle) {
   free_slots_.push_back(handle);
 }
 
-void RapsPowerModel::set_thread_pool(ThreadPool* pool) {
-  pool_ = pool;
-  lane_memos_.clear();
-  lane_rack_memos_.clear();
-  if (pool_ != nullptr && pool_->width() > 1) {
-    // One memo pair per lane (lane 0 = calling thread). Lane-local caches
-    // of exact-keyed pure functions: a hit returns the same bits the
-    // evaluation would, so cache placement never changes a result.
-    lane_memos_.resize(static_cast<std::size_t>(pool_->width()));
-    lane_rack_memos_.resize(static_cast<std::size_t>(pool_->width()));
-  }
-}
-
 // exadigit-hot-begin(power-advance)
 const PowerSample& RapsPowerModel::advance(double now) {
   // Slot order is deterministic, which keeps delta accumulation (and hence
   // floating-point rounding) reproducible across runs and engine modes.
-  const std::size_t slots = active_.size();
-  if (pool_ != nullptr && pool_->width() > 1 && slots > 1) {
-    // Stage 1 (sharded): per-job node power at `now` — a pure function of
-    // the job's trace, so every slot computes exactly the serial value.
-    // Stage 2 (serial, slot order): the delta fold, identical rounding.
-    advance_p_.resize(slots);
-    pool_->parallel_for(slots, [&](std::size_t i) {
-      const ActiveJob& a = active_[i];
-      if (!a.live) return;
-      advance_p_[i] = job_node_power_w(a.job, *a.node_cfg, now, a.start_time_s);
-    });
-    for (std::size_t i = 0; i < slots; ++i) {
-      ActiveJob& a = active_[i];
-      if (!a.live) continue;
-      const double p = advance_p_[i];
-      if (p != a.applied_node_w) {
-        apply_span_delta(a.spans, p - a.applied_node_w);
-        a.applied_node_w = p;
-      }
-    }
-  } else {
-    for (ActiveJob& a : active_) {
-      if (!a.live) continue;
-      const double p = job_node_power_w(a.job, *a.node_cfg, now, a.start_time_s);
-      if (p != a.applied_node_w) {
-        apply_span_delta(a.spans, p - a.applied_node_w);
-        a.applied_node_w = p;
-      }
+  for (ActiveJob& a : active_) {
+    if (!a.live) continue;
+    const double p = job_node_power_w(a.job, *a.node_cfg, now, a.start_time_s);
+    if (p != a.applied_node_w) {
+      apply_span_delta(a.spans, p - a.applied_node_w);
+      a.applied_node_w = p;
     }
   }
   refresh_dirty_racks();
@@ -210,8 +174,7 @@ const PowerSample& RapsPowerModel::advance(double now) {
   return sample_;
 }
 
-RackPowerResult RapsPowerModel::evaluate_rack(int r, ConversionMemo& memo,
-                                              ValueMemo<RackPowerResult>& rack_memo) const {
+RackPowerResult RapsPowerModel::evaluate_rack(int r) {
   const std::span<const double> groups(
       group_output_w_.data() + static_cast<std::size_t>(r) * groups_per_rack_,
       static_cast<std::size_t>(groups_per_rack_));
@@ -225,13 +188,13 @@ RackPowerResult RapsPowerModel::evaluate_rack(int r, ConversionMemo& memo,
     }
   }
   if (uniform) {
-    const RackPowerResult* hit = rack_memo.find(groups[0]);
+    const RackPowerResult* hit = rack_memo_.find(groups[0]);
     if (hit != nullptr) return *hit;
-    const RackPowerResult fresh = rack_model_.from_group_outputs(groups, &memo);
-    rack_memo.insert(groups[0], fresh);
+    const RackPowerResult fresh = rack_model_.from_group_outputs(groups, &memo_);
+    rack_memo_.insert(groups[0], fresh);
     return fresh;
   }
-  return rack_model_.from_group_outputs(groups, &memo);
+  return rack_model_.from_group_outputs(groups, &memo_);
 }
 
 void RapsPowerModel::refresh_dirty_racks() {
@@ -242,25 +205,8 @@ void RapsPowerModel::refresh_dirty_racks() {
   // Rack order fixes the accumulation (and its rounding) independently of
   // which job dirtied a rack first, and walks group_output_w_ in order.
   std::sort(dirty_racks_.begin(), dirty_racks_.end());
-  const std::size_t n = dirty_racks_.size();
-  const bool pooled =
-      pool_ != nullptr && pool_->width() > 1 && n > 1 && !lane_memos_.empty();
-  if (pooled) {
-    // Sharded evaluation into per-rack slots with per-lane memos; the fold
-    // below stays serial in ascending rack order, so totals accumulate in
-    // exactly the serial order (bit-identical for any width).
-    fresh_scratch_.resize(n);
-    const std::size_t width = static_cast<std::size_t>(pool_->width());
-    pool_->parallel_for(n, [&](std::size_t k) {
-      const std::size_t lane = k % width;  // the pool's static shard->lane map
-      fresh_scratch_[k] =
-          evaluate_rack(dirty_racks_[k], lane_memos_[lane], lane_rack_memos_[lane]);
-    });
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const int r = dirty_racks_[k];
-    const RackPowerResult fresh =
-        pooled ? fresh_scratch_[k] : evaluate_rack(r, memo_, rack_memo_);
+  for (const int r : dirty_racks_) {
+    const RackPowerResult fresh = evaluate_rack(r);
     const RackPowerResult& old = rack_results_[static_cast<std::size_t>(r)];
     total_input_w_ += fresh.input_w - old.input_w;
     total_output_w_ += fresh.node_output_w - old.node_output_w;

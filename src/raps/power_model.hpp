@@ -21,17 +21,6 @@
 /// (on_job_start / on_job_stop / advance); the stateless recompute()
 /// rebuilds everything from the given running set and remains available
 /// for one-shot evaluations.
-///
-/// Deterministic parallelism (set_thread_pool): advance() computes the
-/// per-job node powers into a scratch array (a pure function of the job
-/// trace and `now`), and refresh_dirty_racks() evaluates the sorted dirty
-/// racks into a scratch array — both optionally sharded across a
-/// ThreadPool with per-lane memos — then folds deltas serially in slot /
-/// rack order on the calling thread. The memos are exact-key caches of
-/// deterministic functions, so a hit returns the same bits a recompute
-/// would; with sharded evaluation and ordered serial reduction the sample
-/// is bit-identical for any pool width (tests/raps/power_parallel_test.cpp
-/// asserts threads∈{1,2,8} against serial).
 
 #include <span>
 #include <vector>
@@ -41,8 +30,6 @@
 #include "telemetry/schema.hpp"
 
 namespace exadigit {
-
-class ThreadPool;
 
 /// A running job the power model needs to see.
 struct RunningJobView {
@@ -105,12 +92,6 @@ class RapsPowerModel {
 
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
-  /// Installs a worker pool for the advance()/refresh stages (see the file
-  /// header); nullptr (the default) or a width-1 pool runs serially. The
-  /// pool is borrowed, not owned, and must outlive the model's advances.
-  void set_thread_pool(ThreadPool* pool);
-  [[nodiscard]] ThreadPool* thread_pool() const { return pool_; }
-
  private:
   /// A job's footprint on one rectifier group: `count` of its nodes whose
   /// idle powers sum to `idle_sum_w`. Resolved once at job start so delta
@@ -157,14 +138,6 @@ class RapsPowerModel {
   /// one job (or idle) all share one value, so a fleet-wide load change
   /// costs one rack evaluation plus cache hits.
   ValueMemo<RackPowerResult> rack_memo_;
-  // Parallel-stage state: borrowed pool, per-lane memos (lane 0 included;
-  // exact-key caches of pure functions, so lane-local contents never change
-  // a result's bits), and the evaluation scratch the serial fold reads.
-  ThreadPool* pool_ = nullptr;
-  std::vector<ConversionMemo> lane_memos_;
-  std::vector<ValueMemo<RackPowerResult>> lane_rack_memos_;
-  std::vector<double> advance_p_;           ///< per-slot node power at `now`
-  std::vector<RackPowerResult> fresh_scratch_;  ///< per-dirty-rack results
   double total_input_w_ = 0.0;
   double total_output_w_ = 0.0;
   double switch_output_w_ = 0.0;
@@ -185,11 +158,9 @@ class RapsPowerModel {
   /// Adds `delta_w` per node to every group in `spans`, marking their racks.
   void apply_span_delta(const std::vector<GroupSpan>& spans, double delta_w);
   void mark_rack_of_group(int group);
-  /// Evaluates one rack's conversion chain through the given memo pair
-  /// (uniform-load racks hit `rack_memo`). Pure modulo the caches, so the
-  /// result is the same through any lane's memos.
-  [[nodiscard]] RackPowerResult evaluate_rack(int r, ConversionMemo& memo,
-                                              ValueMemo<RackPowerResult>& rack_memo) const;
+  /// Evaluates one rack's conversion chain through memo_ (uniform-load
+  /// racks hit rack_memo_). Pure modulo the caches.
+  [[nodiscard]] RackPowerResult evaluate_rack(int r);
   /// Re-evaluates every dirty rack and folds the differences into totals.
   void refresh_dirty_racks();
   /// Recomputes every rack and all totals from group_output_w_. With

@@ -81,8 +81,7 @@ void add_report_metrics(ScenarioResult& r, const Report& report) {
 
 ScenarioResult run_simulate_scenario(const ScenarioSpec& spec) {
   check_params(spec,
-               {"cooling", "engine", "hydraulics", "thermal", "threads", "policy",
-                "policy_params"});
+               {"cooling", "engine", "hydraulics", "thermal", "policy", "policy_params"});
   SystemConfig config = spec.resolve_config();
   // "policy" / "policy_params": scheduling policy for the built-in
   // scheduler (see raps/policy/). Equivalent to a config delta on
@@ -114,12 +113,6 @@ ScenarioResult run_simulate_scenario(const ScenarioSpec& spec) {
   if (spec.params.is_object() && spec.params.contains("thermal")) {
     config.cooling.thermal =
         thermal_eval_from_name(spec.params.at("thermal").as_string());
-  }
-  // "threads": worker-pool width for the twin's intra-run parallelism;
-  // 1 (default) = serial, 0 = hardware concurrency. Any width is
-  // bit-identical to serial (see common/thread_pool.hpp).
-  if (spec.params.is_object() && spec.params.contains("threads")) {
-    config.simulation.threads = static_cast<int>(spec.params.at("threads").as_int());
   }
   const std::uint64_t seed = spec.seed_or(42);
   const bool cooling = param_bool(spec, "cooling", true);

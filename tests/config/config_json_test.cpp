@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 namespace exadigit {
 namespace {
@@ -94,19 +95,20 @@ TEST(ConfigJsonTest, ThermalEvalRoundTripAndValidation) {
   EXPECT_THROW(system_config_from_json(bad), ConfigError);
 }
 
-TEST(ConfigJsonTest, ThreadsRoundTrip) {
-  SystemConfig original = frontier_system_config();
-  original.simulation.threads = 8;
-  const SystemConfig back = system_config_from_json(system_config_to_json(original));
-  EXPECT_EQ(back.simulation.threads, 8);
-
-  // 0 = hardware concurrency is a valid persisted value (resolved at twin
-  // construction, not at parse time).
-  const Json hw = Json::parse(R"({"simulation": {"threads": 0}})");
-  EXPECT_EQ(system_config_from_json(hw).simulation.threads, 0);
-  // Absent field keeps the serial default.
-  const Json empty = Json::parse(R"({})");
-  EXPECT_EQ(system_config_from_json(empty).simulation.threads, 1);
+TEST(ConfigJsonTest, UnknownSimulationKeyThrows) {
+  // A misspelt or removed key must fail loudly instead of silently running
+  // the default; the message lists the keys that are accepted.
+  const Json removed = Json::parse(R"({"simulation": {"threads": 2}})");
+  try {
+    (void)system_config_from_json(removed);
+    FAIL() << "expected a ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"threads\""), std::string::npos) << what;
+    EXPECT_NE(what.find("tick_s"), std::string::npos) << what;
+  }
+  const Json known = Json::parse(R"({"simulation": {"tick_s": 1.0}})");
+  EXPECT_EQ(system_config_from_json(known).simulation.tick_s, 1.0);
 }
 
 TEST(ConfigJsonTest, MultiPartitionRoundTrip) {

@@ -382,43 +382,40 @@ TEST(ScenarioRunnerTest, SimulateHydraulicsParamAlwaysSolveMatchesDedup) {
   EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("sometimes")), ConfigError);
 }
 
-/// The "threads" and "thermal" params select the worker-pool width and the
-/// HX-kernel variant for A/B batches; every combination must produce
-/// bit-identical simulate results (common/thread_pool.hpp's determinism
-/// contract and the batched kernel's same-operation-order lane math).
-TEST(ScenarioRunnerTest, SimulateThreadsAndThermalParamsStayBitIdentical) {
-  auto make_spec = [](int threads, const char* thermal) {
+/// The "thermal" param selects the HX-kernel variant for A/B batches; both
+/// variants must produce bit-identical simulate results (the batched
+/// kernel's same-operation-order lane math).
+TEST(ScenarioRunnerTest, SimulateThermalParamStaysBitIdentical) {
+  auto make_spec = [](const char* thermal) {
     ScenarioSpec spec;
-    spec.name = "sim-t" + std::to_string(threads) + "-" + thermal;
+    spec.name = std::string("sim-") + thermal;
     spec.type = "simulate";
     spec.horizon_hours = 0.25;
     spec.seed = 11;
     Json params;
-    params["threads"] = Json(static_cast<std::int64_t>(threads));
     params["thermal"] = Json(std::string(thermal));
     spec.params = std::move(params);
     return spec;
   };
-  const ScenarioResult serial = ScenarioRegistry::instance().run(make_spec(1, "batched"));
-  const std::vector<std::pair<int, const char*>> combos = {
-      {2, "batched"}, {4, "scalar"}, {1, "scalar"}};
-  for (const auto& [threads, thermal] : combos) {
-    const ScenarioResult other = ScenarioRegistry::instance().run(make_spec(threads, thermal));
-    ASSERT_EQ(serial.summary.size(), other.summary.size());
-    for (std::size_t i = 0; i < serial.summary.size(); ++i) {
-      EXPECT_EQ(serial.summary[i].value, other.summary[i].value)
-          << "metric " << serial.summary[i].name << " (threads=" << threads
-          << ", thermal=" << thermal << ")";
-    }
-    const TimeSeries& pue_a = serial.channels.at("pue");
-    const TimeSeries& pue_b = other.channels.at("pue");
-    ASSERT_EQ(pue_a.size(), pue_b.size());
-    for (std::size_t i = 0; i < pue_a.size(); ++i) {
-      EXPECT_EQ(pue_a.values()[i], pue_b.values()[i])
-          << "pue sample " << i << " (threads=" << threads << ")";
-    }
+  const ScenarioResult batched = ScenarioRegistry::instance().run(make_spec("batched"));
+  const ScenarioResult scalar = ScenarioRegistry::instance().run(make_spec("scalar"));
+  ASSERT_EQ(batched.summary.size(), scalar.summary.size());
+  for (std::size_t i = 0; i < batched.summary.size(); ++i) {
+    EXPECT_EQ(batched.summary[i].value, scalar.summary[i].value)
+        << "metric " << batched.summary[i].name;
   }
-  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec(1, "vectorish")), ConfigError);
+  const TimeSeries& pue_a = batched.channels.at("pue");
+  const TimeSeries& pue_b = scalar.channels.at("pue");
+  ASSERT_EQ(pue_a.size(), pue_b.size());
+  for (std::size_t i = 0; i < pue_a.size(); ++i) {
+    EXPECT_EQ(pue_a.values()[i], pue_b.values()[i]) << "pue sample " << i;
+  }
+  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("vectorish")), ConfigError);
+
+  // The removed per-twin "threads" param is rejected, not ignored.
+  ScenarioSpec threads = make_spec("batched");
+  threads.params["threads"] = Json(static_cast<std::int64_t>(2));
+  EXPECT_THROW(ScenarioRegistry::instance().run(threads), ConfigError);
 }
 
 TEST(ScenarioRunnerTest, DatasetReplayIdenticalAcrossFormatsAndLoaders) {

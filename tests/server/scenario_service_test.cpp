@@ -137,11 +137,11 @@ TEST(ScenarioServiceTest, SpecReorderingsAndEquivalentDeltasAlsoHit) {
   const std::vector<Json> first = service.handle_request(
       kClient, run_request(R"({"seed": 4, "scenarios": [
         {"name": "a", "type": "simulate", "horizon_hours": 0.05, "seed": 3,
-         "config": {"simulation": {"threads": 1}}}]})"));
+         "config": {"simulation": {"tick_s": 1.0}}}]})"));
   (void)drain_for(service, kClient);
 
   // Same content spelled differently: members re-ordered, the delta
-  // dropped entirely (threads = 1 is the Frontier default), and a different
+  // dropped entirely (tick_s = 1.0 is the Frontier default), and a different
   // batch seed (masked by the explicit spec seed).
   const std::uint64_t runs_before = scenario_run_count();
   const std::vector<Json> second = service.handle_request(
