@@ -16,6 +16,7 @@ constexpr double kRegularizePa = 2.0;
 
 NodeId FlowNetwork::add_node(std::string name) {
   node_names_.push_back(std::move(name));
+  changed_ = true;
   return node_names_.size() - 1;
 }
 
@@ -30,12 +31,13 @@ BranchId FlowNetwork::add_resistance(NodeId from, NodeId to, double k, std::stri
   b.k = k;
   b.name = std::move(name);
   branches_.push_back(b);
+  changed_ = true;
   return branches_.size() - 1;
 }
 
 BranchId FlowNetwork::add_valve(NodeId from, NodeId to, double k_open, std::string name) {
   const BranchId id = add_resistance(from, to, k_open, std::move(name));
-  branches_[id].kind = BranchKind::kValve;
+  set_kind(id, BranchKind::kValve);
   return id;
 }
 
@@ -55,6 +57,7 @@ BranchId FlowNetwork::add_pump(NodeId from, NodeId to, double shutoff_head_pa,
   b.parallel_units = parallel_units;
   b.name = std::move(name);
   branches_.push_back(b);
+  changed_ = true;
   return branches_.size() - 1;
 }
 
@@ -146,59 +149,39 @@ void FlowNetwork::solve_with(SolveWorkspace& ws, double flow_scale_m3s,
   solve_impl(ws, flow_scale_m3s, /*use_warm_start=*/false, out);
 }
 
-void FlowNetwork::append_parameter_key(std::vector<double>& key) const {
-  key.push_back(static_cast<double>(node_count()));
-  key.push_back(static_cast<double>(branches_.size()));
-  for (const Branch& b : branches_) {
-    key.push_back(static_cast<double>(b.kind));
-    key.push_back(static_cast<double>(b.from));
-    key.push_back(static_cast<double>(b.to));
-    key.push_back(b.k);
-    key.push_back(b.position);
-    key.push_back(b.min_position);
-    key.push_back(b.shutoff_head_pa);
-    key.push_back(b.curve_coeff);
-    key.push_back(b.speed);
-    key.push_back(static_cast<double>(b.parallel_units));
-  }
+void FlowNetwork::set_kind(BranchId id, BranchKind kind) { write(branches_.at(id).kind, kind); }
+
+void FlowNetwork::set_k(BranchId id, double k) { write(branches_.at(id).k, k); }
+
+void FlowNetwork::set_position(BranchId id, double position) {
+  write(branches_.at(id).position, position);
 }
 
-bool FlowNetwork::refresh_parameter_key(std::vector<double>& key) const {
-  const std::size_t want = 2 + branches_.size() * 10;
-  if (key.size() != want) {
-    key.clear();
-    key.reserve(want);
-    append_parameter_key(key);
-    return true;
+void FlowNetwork::set_min_position(BranchId id, double min_position) {
+  write(branches_.at(id).min_position, min_position);
+}
+
+void FlowNetwork::set_speed(BranchId id, double speed) { write(branches_.at(id).speed, speed); }
+
+void FlowNetwork::set_parallel_units(BranchId id, int parallel_units) {
+  write(branches_.at(id).parallel_units, parallel_units);
+}
+
+bool FlowNetwork::same_shape(const FlowNetwork& other, BranchId free_speed) const {
+  if (node_count() != other.node_count() || branches_.size() != other.branches_.size()) {
+    return false;
   }
-  // Single pass: compare each slot against the current parameter and write
-  // through on mismatch. Same slot layout as append_parameter_key; exact
-  // (bitwise-equality-of-values) comparison, consistent with the dedup
-  // contract. One fused pass instead of rebuild-then-compare halves the
-  // per-step key traffic on the hot path.
-  bool changed = false;
-  auto put = [&key, &changed](std::size_t slot, double v) {
-    if (key[slot] != v) {
-      key[slot] = v;
-      changed = true;
+  for (std::size_t i = 0; i < branches_.size(); ++i) {
+    const Branch& a = branches_[i];
+    const Branch& b = other.branches_[i];
+    if (a.kind != b.kind || a.from != b.from || a.to != b.to || a.k != b.k ||
+        a.position != b.position || a.min_position != b.min_position ||
+        a.shutoff_head_pa != b.shutoff_head_pa || a.curve_coeff != b.curve_coeff ||
+        a.parallel_units != b.parallel_units || (i != free_speed && a.speed != b.speed)) {
+      return false;
     }
-  };
-  put(0, static_cast<double>(node_count()));
-  put(1, static_cast<double>(branches_.size()));
-  std::size_t slot = 2;
-  for (const Branch& b : branches_) {
-    put(slot++, static_cast<double>(b.kind));
-    put(slot++, static_cast<double>(b.from));
-    put(slot++, static_cast<double>(b.to));
-    put(slot++, b.k);
-    put(slot++, b.position);
-    put(slot++, b.min_position);
-    put(slot++, b.shutoff_head_pa);
-    put(slot++, b.curve_coeff);
-    put(slot++, b.speed);
-    put(slot++, static_cast<double>(b.parallel_units));
   }
-  return changed;
+  return true;
 }
 
 void FlowNetwork::adopt_solution(const NetworkSolution& sol) {

@@ -18,11 +18,11 @@
 /// The solver keeps a persistent per-network workspace (pressures,
 /// residual, Jacobian, line-search buffers, branch flows): after the first
 /// solve on a network, re-solves perform no heap allocation when driven
-/// through `solve_into`. Networks also expose their exact operating point
-/// as a parameter key (`append_parameter_key`) so callers can skip a
-/// re-solve when nothing changed, or share one solution among
-/// identical-topology networks at the same operating point — see
-/// CoolingPlantModel::solve_hydraulics.
+/// through `solve_into`. Branch parameters change only through the
+/// network's setters, which record whether the operating point moved
+/// (`take_changed`), so callers can skip a re-solve when nothing changed, or
+/// share one solution among networks of the same shape (`same_shape`) at
+/// the same operating point — see CoolingPlantModel::solve_hydraulics.
 
 #include <cstddef>
 #include <string>
@@ -67,7 +67,7 @@ struct NetworkSolution {
   double residual_m3s = 0.0;  ///< worst nodal mass imbalance
 };
 
-/// A flow network: build once, mutate branch parameters (speeds, valve
+/// A flow network: build once, set branch parameters (speeds, valve
 /// positions, blockage factors) between solves, and re-solve warm-started.
 class FlowNetwork {
  public:
@@ -90,10 +90,32 @@ class FlowNetwork {
   BranchId add_pump(NodeId from, NodeId to, double shutoff_head_pa, double curve_coeff,
                     int parallel_units = 1, std::string name = {});
 
-  [[nodiscard]] Branch& branch(BranchId id) { return branches_.at(id); }
   [[nodiscard]] const Branch& branch(BranchId id) const { return branches_.at(id); }
   [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
   [[nodiscard]] std::size_t branch_count() const { return branches_.size(); }
+
+  /// Branch parameter setters, the only way to change a built network. Each
+  /// compares with `!=` before writing and marks the network changed on a
+  /// write, so a NaN always counts as a change and +0/-0 as equal.
+  void set_kind(BranchId id, BranchKind kind);
+  void set_k(BranchId id, double k);
+  void set_position(BranchId id, double position);
+  void set_min_position(BranchId id, double min_position);
+  void set_speed(BranchId id, double speed);
+  void set_parallel_units(BranchId id, int parallel_units);
+
+  /// Whether a node, a branch or a branch parameter changed since the last
+  /// call (a new network counts as changed); clears the flag.
+  bool take_changed() {
+    const bool was = changed_;
+    changed_ = false;
+    return was;
+  }
+
+  /// True when `other` has the same topology and bit-equal parameters on
+  /// every branch, ignoring only the speed of branch `free_speed`. Exact
+  /// comparison, never tolerance-based: a NaN parameter never matches.
+  [[nodiscard]] bool same_shape(const FlowNetwork& other, BranchId free_speed) const;
 
   /// Solves mass conservation; throws SolverError when Newton fails.
   /// `flow_scale_m3s` sets the convergence tolerance (1e-6 of it).
@@ -108,22 +130,6 @@ class FlowNetwork {
   /// workspace. Identical arithmetic to solve(); after the first call with
   /// a given `out` the steady-state inner loop performs no heap allocation.
   void solve_into(NetworkSolution& out, double flow_scale_m3s = 0.1) const;
-
-  /// Appends this network's exact operating point to `key`: the topology
-  /// (node/branch counts, endpoints, kinds) plus every mutable branch
-  /// parameter. Two networks with equal keys and equal warm-start states
-  /// produce bit-identical solutions, which is what lets the cooling plant
-  /// deduplicate identical CDU-loop solves and skip unchanged re-solves
-  /// (exact comparison, never tolerance-based, to keep runs deterministic).
-  void append_parameter_key(std::vector<double>& key) const;
-
-  /// In-place variant for hot loops: rewrites `key` to this network's
-  /// current parameter key (same layout as append_parameter_key produces
-  /// for a single network) in one fused compare-and-write pass. Returns
-  /// true when any slot changed — i.e. exactly when the freshly built key
-  /// would have differed from the previous contents of `key`. A `key` of
-  /// the wrong size is rebuilt from scratch (and reported changed).
-  bool refresh_parameter_key(std::vector<double>& key) const;
 
   /// Warm-start state: the previously converged nodal pressures (empty
   /// before the first successful solve).
@@ -163,6 +169,17 @@ class FlowNetwork {
   std::vector<Branch> branches_;
   mutable std::vector<double> warm_pressures_;
   mutable SolveWorkspace ws_;
+  bool changed_ = true;
+
+  /// Writes `value` into `slot` and marks the network changed, unless the
+  /// two compare equal.
+  template <typename T>
+  void write(T& slot, T value) {
+    if (slot != value) {
+      slot = value;
+      changed_ = true;
+    }
+  }
 
   void solve_with(SolveWorkspace& ws, double flow_scale_m3s, NetworkSolution& out) const;
   void solve_impl(SolveWorkspace& ws, double flow_scale_m3s, bool use_warm_start,

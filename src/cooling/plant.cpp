@@ -52,6 +52,15 @@ PidConfig fan_pid_config() {
   return p;
 }
 
+/// Restores a rack branch as built: a clean resistance, fully open. A valve
+/// at position 1 has K = k / (1 * 1) == k, so the flow is the same bits
+/// either way; what must match the build is the loop's shape.
+void restore_rack_branch(FlowNetwork& net, BranchId branch) {
+  net.set_kind(branch, BranchKind::kResistance);
+  net.set_min_position(branch, Branch{}.min_position);
+  net.set_position(branch, 1.0);
+}
+
 }  // namespace
 
 double PlantOutputs::aux_power_w() const {
@@ -132,6 +141,7 @@ void CoolingPlantModel::build_networks() {
     loop.hex_leg = loop.net.add_resistance(ret, suction, k_hex_leg, "hex_leg");
     cdu_loops_.push_back(std::move(loop));
   }
+  assign_shape_ids();
 
   // ---- Primary HTW loop ------------------------------------------------
   const double q_pri = cool.primary.design_flow_m3s;
@@ -185,13 +195,11 @@ void CoolingPlantModel::reset(double ambient_c) {
     loop.pump_pid.reset(loop.pump_speed);
     loop.valve_pid.reset(loop.valve_position);
     loop.last_solution = NetworkSolution{};
-    loop.key.clear();
     loop.has_solution = false;
-    for (BranchId b : loop.rack_branches) loop.net.branch(b).position = 1.0;
+    for (BranchId b : loop.rack_branches) restore_rack_branch(loop.net, b);
   }
-  pri_key_.clear();
+  assign_shape_ids();
   pri_has_solution_ = false;
-  ct_key_.clear();
   ct_has_solution_ = false;
   hydraulics_stats_ = HydraulicsStats{};
   thermal_stats_ = ThermalStats{};
@@ -220,12 +228,32 @@ void CoolingPlantModel::set_rack_blockage(int cdu, int rack_slot, double factor)
   require(rack_slot >= 0 && rack_slot < static_cast<int>(loop.rack_branches.size()),
           "rack slot out of range");
   require(factor > 0.0 && factor <= 1.0, "blockage factor must be in (0,1]");
-  // A blockage that scales achievable flow by `factor` raises the branch
-  // resistance by 1/factor^2. Reuse the valve-position mechanism.
-  Branch& b = loop.net.branch(loop.rack_branches[static_cast<std::size_t>(rack_slot)]);
-  b.kind = BranchKind::kValve;
-  b.position = factor;
-  b.min_position = 0.01;
+  const BranchId branch = loop.rack_branches[static_cast<std::size_t>(rack_slot)];
+  if (factor == 1.0) {
+    // Clearing restores the branch as built, so the loop's shape matches
+    // its unblocked siblings again and it can rejoin their shared solve.
+    restore_rack_branch(loop.net, branch);
+  } else {
+    // A blockage that scales achievable flow by `factor` raises the branch
+    // resistance by 1/factor^2. Reuse the valve-position mechanism.
+    loop.net.set_kind(branch, BranchKind::kValve);
+    loop.net.set_position(branch, factor);
+    loop.net.set_min_position(branch, 0.01);
+  }
+  assign_shape_ids();
+}
+
+void CoolingPlantModel::assign_shape_ids() {
+  for (std::size_t i = 0; i < cdu_loops_.size(); ++i) {
+    CduLoopState& loop = cdu_loops_[i];
+    loop.shape_id = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (loop.net.same_shape(cdu_loops_[j].net, loop.pump)) {
+        loop.shape_id = cdu_loops_[j].shape_id;
+        break;
+      }
+    }
+  }
 }
 
 void CoolingPlantModel::force_cdu_pump_speed(int cdu, double speed) {
@@ -284,38 +312,37 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
   // Fans: hold the basin (cold water supply) temperature at its setpoint.
   const double fan_speed = fan_pid_.update(ct_supply_setpoint_c_, t_ct_supply_c_, dt);
 
-  // Apply to the networks.
+  // Apply to the networks; each setter marks its network changed only when
+  // the value moved, which is what solve_hydraulics keys its reuse on.
   for (auto& loop : cdu_loops_) {
-    loop.net.branch(loop.pump).speed = loop.pump_speed;
+    loop.net.set_speed(loop.pump, loop.pump_speed);
   }
   {
-    Branch& pump = pri_net_.branch(pri_pump_branch_);
-    pump.speed = htwp_speed;
-    pump.parallel_units = htwp_staged;
+    pri_net_.set_speed(pri_pump_branch_, htwp_speed);
+    pri_net_.set_parallel_units(pri_pump_branch_, htwp_staged);
     const double n = static_cast<double>(ehx_staged);
     const double n_design = static_cast<double>(cool.primary.ehx_count);
     const double k_each = 0.25 * cool.primary.pump.design_head_pa * n_design * n_design /
                           (cool.primary.design_flow_m3s * cool.primary.design_flow_m3s);
-    pri_net_.branch(pri_ehx_branch_).k = k_each / (n * n);
+    pri_net_.set_k(pri_ehx_branch_, k_each / (n * n));
     for (int i = 0; i < config_.cdu_count; ++i) {
-      pri_net_.branch(pri_cdu_branches_[static_cast<std::size_t>(i)]).position =
-          cdu_loops_[static_cast<std::size_t>(i)].valve_position;
+      pri_net_.set_position(pri_cdu_branches_[static_cast<std::size_t>(i)],
+                            cdu_loops_[static_cast<std::size_t>(i)].valve_position);
     }
   }
   {
-    Branch& pump = ct_net_.branch(ct_pump_branch_);
-    pump.speed = ctwp_speed;
-    pump.parallel_units = ctwp_staged;
+    ct_net_.set_speed(ct_pump_branch_, ctwp_speed);
+    ct_net_.set_parallel_units(ct_pump_branch_, ctwp_staged);
     const double n_ehx = static_cast<double>(ehx_staged);
     const double n_design = static_cast<double>(cool.primary.ehx_count);
     const double k_cold_each = 0.35 * cool.ct.pump.design_head_pa * n_design * n_design /
                                (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
-    ct_net_.branch(ct_ehx_branch_).k = k_cold_each / (n_ehx * n_ehx);
+    ct_net_.set_k(ct_ehx_branch_, k_cold_each / (n_ehx * n_ehx));
     const int total_cells = tower_bank_.total_cells();
     const double k_cell = 0.65 * cool.ct.pump.design_head_pa * total_cells * total_cells /
                           (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
     const double n_cells = static_cast<double>(cells);
-    ct_net_.branch(ct_cell_branch_).k = k_cell / (n_cells * n_cells);
+    ct_net_.set_k(ct_cell_branch_, k_cell / (n_cells * n_cells));
   }
 
   outputs_.htwp_speed = htwp_speed;
@@ -338,12 +365,14 @@ void CoolingPlantModel::solve_hydraulics() {
   // because classification happens before ANY of this step's solves run,
   // every network still holds its pre-step warm state, so the donor scan
   // can compare live warm vectors directly (no snapshot copies needed).
+  // Both modes take the change flags, so a mid-run switch to kDedup never
+  // sees a stale one.
   solve_actions_.assign(n, SolveAction::kSolve);
   solve_donor_.assign(n, 0);
   solve_list_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     auto& loop = cdu_loops_[i];
-    const bool changed = loop.net.refresh_parameter_key(loop.key);
+    const bool changed = loop.net.take_changed();
     if (dedup && loop.has_solution && !changed) {
       // Unchanged operating point: a re-solve would warm-start at the
       // converged pressures and exit after zero iterations with exactly
@@ -352,14 +381,16 @@ void CoolingPlantModel::solve_hydraulics() {
       continue;
     }
     if (dedup) {
-      // A loop ahead of this one with the same exact key and the same
-      // pre-step warm start converges to the bit-identical solution:
-      // Newton here is a deterministic function of (parameters, warm
-      // start). Every loop ends the step holding a solution, so any j < i
-      // is an eligible donor — exactly the set the serial scan saw.
+      // A loop ahead of this one with the same shape, the same pump speed
+      // and the same pre-step warm start converges to the bit-identical
+      // solution: Newton here is a deterministic function of (parameters,
+      // warm start). Every loop ends the step holding a solution, so any
+      // j < i is an eligible donor — exactly the set the serial scan saw.
+      const double speed = loop.net.branch(loop.pump).speed;
       for (std::size_t j = 0; j < i; ++j) {
         const CduLoopState& other = cdu_loops_[j];
-        if (other.key == loop.key &&
+        if (other.shape_id == loop.shape_id &&
+            other.net.branch(other.pump).speed == speed &&
             other.net.warm_start_pressures() == loop.net.warm_start_pressures()) {
           solve_actions_[i] = SolveAction::kCopyDonor;
           solve_donor_[i] = j;
@@ -406,9 +437,9 @@ void CoolingPlantModel::solve_hydraulics() {
     }
   }
 
-  // Primary and CT loops have unique topologies, so only the unchanged-key
-  // skip applies to them.
-  const bool pri_changed = pri_net_.refresh_parameter_key(pri_key_);
+  // Primary and CT loops have unique topologies, so only the unchanged
+  // skip applies to them; update_controls set their change flags.
+  const bool pri_changed = pri_net_.take_changed();
   if (dedup && pri_has_solution_ && !pri_changed) {
     ++hydraulics_stats_.reused_unchanged;
   } else {
@@ -421,7 +452,7 @@ void CoolingPlantModel::solve_hydraulics() {
     pri_has_solution_ = true;
   }
 
-  const bool ct_changed = ct_net_.refresh_parameter_key(ct_key_);
+  const bool ct_changed = ct_net_.take_changed();
   if (dedup && ct_has_solution_ && !ct_changed) {
     ++hydraulics_stats_.reused_unchanged;
   } else {

@@ -19,24 +19,28 @@
 /// FMU: 12 per CDU plus 17 plant-level values.
 ///
 /// Hydraulic-solve deduplication (HydraulicsEval::kDedup, the default):
-/// every network's exact operating point is captured as a parameter key
-/// (FlowNetwork::append_parameter_key) before each step's solves.
-///   - A network whose key is unchanged since its last solve skips the
-///     re-solve: Newton would warm-start at the converged pressures and
-///     exit after zero iterations with the same state.
-///   - CDU loops share one solve: a loop whose (key, warm-start) pair
-///     exactly matches an already-processed loop this step copies that
-///     loop's solution, because Newton is a deterministic function of the
-///     branch parameters and the warm start. In an unperturbed Frontier
-///     plant all same-rack-count CDU loops track each other bit-for-bit,
-///     collapsing 25 secondary solves to 2 per step.
-/// Both reuses compare keys exactly (never within a tolerance), so kDedup
-/// is bit-identical to the HydraulicsEval::kAlwaysSolve reference path —
+/// branch parameters change only through FlowNetwork's setters, which mark
+/// a network changed when a written value differs from the stored one.
+///   - A network left unchanged since its last solve skips the re-solve:
+///     Newton would warm-start at the converged pressures and exit after
+///     zero iterations with the same state.
+///   - CDU loops share one solve. Each loop carries a shape id: two loops
+///     share it exactly when their topology and every branch parameter
+///     other than pump speed are bit-equal (assigned at build, and again
+///     when a blockage or reset() rewrites a rack branch). A loop whose
+///     shape id, pump speed and pre-step warm start exactly match an
+///     already-processed loop this step copies that loop's solution,
+///     because Newton is a deterministic function of the branch parameters
+///     and the warm start. In an unperturbed Frontier plant all
+///     same-rack-count CDU loops track each other bit-for-bit, collapsing
+///     25 secondary solves to 2 per step.
+/// Both reuses compare exactly (never within a tolerance), so kDedup is
+/// bit-identical to the HydraulicsEval::kAlwaysSolve reference path —
 /// tests/cooling/plant_dedup_test.cpp asserts this across staging,
 /// blockage, and forced-pump churn.
 ///
-/// Three-phase hydraulics: solve_hydraulics (A) decides — refreshes
-/// parameter keys and classifies every CDU loop as skip /
+/// Three-phase hydraulics: solve_hydraulics (A) decides — takes each
+/// network's change flag and classifies every CDU loop as skip /
 /// copy-from-donor / solve against the pre-step warm starts, before any
 /// solve runs (the donor match depends on that order); (B) runs the Newton
 /// solves; (C) applies donor copies, warm-state adoption, and stats in
@@ -113,7 +117,7 @@ class CoolingPlantModel {
   /// Hydraulic-solve accounting since the last reset().
   struct HydraulicsStats {
     long long solves_performed = 0;  ///< Newton solves actually run
-    long long reused_unchanged = 0;  ///< skipped: parameter key unchanged
+    long long reused_unchanged = 0;  ///< skipped: parameters unchanged
     long long reused_shared = 0;     ///< copied from an identical CDU loop
     [[nodiscard]] long long solves_reused() const {
       return reused_unchanged + reused_shared;
@@ -140,8 +144,9 @@ class CoolingPlantModel {
   [[nodiscard]] int cdu_count() const { return static_cast<int>(cdu_loops_.size()); }
 
   /// Injects a flow blockage into one rack branch: `factor` in (0,1] scales
-  /// the achievable flow (1 = clean). Models the biological-growth
-  /// blockages from the paper's use-case analysis.
+  /// the achievable flow. Models the biological-growth blockages from the
+  /// paper's use-case analysis. A factor of 1 clears the blockage and
+  /// restores the branch as built.
   void set_rack_blockage(int cdu, int rack_slot, double factor);
 
   /// Forces a CDU pump to a fixed relative speed (maintenance what-ifs);
@@ -157,7 +162,7 @@ class CoolingPlantModel {
 
   /// Hydraulic evaluation strategy; seeded from CoolingConfig::hydraulics
   /// (see the dedup semantics in the file header). Switching modes mid-run
-  /// is allowed and stays exact — reuse keys survive the switch.
+  /// is allowed and stays exact — both modes take the change flags.
   void set_hydraulics_eval(HydraulicsEval eval) { hydraulics_eval_ = eval; }
   [[nodiscard]] HydraulicsEval hydraulics_eval() const { return hydraulics_eval_; }
 
@@ -192,12 +197,12 @@ class CoolingPlantModel {
     double pump_speed = 0.8;
     double forced_speed = -1.0;
     NetworkSolution last_solution;
-    // Dedup bookkeeping (solve_hydraulics): the parameter key, refreshed
-    // in place each step (FlowNetwork::refresh_parameter_key reports
-    // whether it differs from the previous step's). Donor comparisons use
-    // the networks' live warm-start vectors — phase A runs before any of
-    // the step's solves, so they still hold the pre-step state.
-    std::vector<double> key;
+    // Dedup bookkeeping (solve_hydraulics): loops with equal shape ids have
+    // bit-equal networks apart from the pump speed (see assign_shape_ids).
+    // Donor comparisons use the networks' live warm-start vectors — phase
+    // A runs before any of the step's solves, so they still hold the
+    // pre-step state.
+    std::size_t shape_id = 0;
     bool has_solution = false;
     CduLoopState(FlowNetwork n, const PidConfig& pump_cfg, const PidConfig& valve_cfg)
         : net(std::move(n)), pump_pid(pump_cfg), valve_pid(valve_cfg) {}
@@ -245,9 +250,7 @@ class CoolingPlantModel {
   HydraulicsEval hydraulics_eval_ = HydraulicsEval::kDedup;
   HydraulicsStats hydraulics_stats_;
   ThermalStats thermal_stats_;
-  std::vector<double> pri_key_;
   bool pri_has_solution_ = false;
-  std::vector<double> ct_key_;
   bool ct_has_solution_ = false;
 
   // Phase-A classification scratch for solve_hydraulics, reused per step.
@@ -272,6 +275,9 @@ class CoolingPlantModel {
   long long step_count_ = 0;
 
   void build_networks();
+  /// Sets each CDU loop's shape id to the index of the lowest loop whose
+  /// network has the same shape (FlowNetwork::same_shape, pump speed free).
+  void assign_shape_ids();
   void update_controls(const CoolingInputs& inputs, double dt);
   void solve_hydraulics();
   void integrate_thermal(const CoolingInputs& inputs, double dt);

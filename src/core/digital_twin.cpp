@@ -1,9 +1,40 @@
 #include "core/digital_twin.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace exadigit {
+
+namespace {
+
+// The series frame's row layout, named once for the recorder and the
+// accessors: the time, the system channels, then kCduColumns per CDU.
+enum SystemColumn : std::size_t {
+  kTime,
+  kPue,
+  kHtws,
+  kPriReturn,
+  kPriDp,
+  kCoolingEff,
+  kSystemColumns
+};
+enum CduColumn : std::size_t {
+  kPriFlowGpm,
+  kSecFlowGpm,
+  kReturnTempC,
+  kSupplyTempC,
+  kPumpPowerW,
+  kRackPowerW,
+  kCduColumns
+};
+
+/// Column of CDU `cdu`'s first channel; width of a row holding `cdu` CDUs.
+constexpr std::size_t cdu_base(std::size_t cdu) { return kSystemColumns + cdu * kCduColumns; }
+
+}  // namespace
 
 DigitalTwin::DigitalTwin(const SystemConfig& config)
     : DigitalTwin(config, DigitalTwinOptions{}) {}
@@ -17,8 +48,9 @@ DigitalTwin::DigitalTwin(const SystemConfig& config, const DigitalTwinOptions& o
     fmu_ = std::make_unique<CoolingFmu>(config);
     fmu_->plant().reset(options.ambient_c);
     cooling_synced_s_ = options.start_time_s;
-    cdu_series_.resize(static_cast<std::size_t>(config_.cdu_count));
-    cdu_power_series_.resize(static_cast<std::size_t>(config_.cdu_count));
+    if (collect_series_) {
+      series_width_ = cdu_base(static_cast<std::size_t>(config_.cdu_count));
+    }
     engine_.set_cooling_callback(
         [this](RapsEngine&, double now_s) { on_cooling_quantum(now_s); });
   }
@@ -87,27 +119,90 @@ void DigitalTwin::on_cooling_quantum(double now_s) {
   cooling_synced_s_ = now_s;
 
   if (!collect_series_) return;
+  // exadigit-hot-begin(coupled-record)
+  // One row per plant step, appended into the frame run_until reserved.
   const PlantOutputs& out = fmu_->outputs();
-  pue_series_.push_back(now_s, out.pue);
-  htws_series_.push_back(now_s, out.pri_supply_t_c);
-  pri_return_series_.push_back(now_s, out.pri_return_t_c);
-  pri_dp_series_.push_back(now_s, out.pri_dp_pa);
+  const std::size_t base = series_rows_.size();
+  series_rows_.resize(base + series_width_);
+  double* row = series_rows_.data() + base;
+  row[kTime] = now_s;
+  row[kPue] = out.pue;
+  row[kHtws] = out.pri_supply_t_c;
+  row[kPriReturn] = out.pri_return_t_c;
+  row[kPriDp] = out.pri_dp_pa;
   // Cooling efficiency eta_cooling = H / P_system (paper Section IV-1).
   double total_heat = 0.0;
   for (const double h : heat) total_heat += h;
-  cooling_eff_series_.push_back(now_s, p_system > 0.0 ? total_heat / p_system : 0.0);
-  for (std::size_t i = 0; i < cdu_series_.size(); ++i) {
+  row[kCoolingEff] = p_system > 0.0 ? total_heat / p_system : 0.0;
+  for (std::size_t i = 0; i < out.cdus.size(); ++i) {
     const CduOutputs& c = out.cdus[i];
-    cdu_series_[i].pri_flow_gpm.push_back(now_s, units::gpm_from_m3s(c.pri_flow_m3s));
-    cdu_series_[i].sec_flow_gpm.push_back(now_s, units::gpm_from_m3s(c.sec_flow_m3s));
-    cdu_series_[i].return_temp_c.push_back(now_s, c.pri_return_t_c);
-    cdu_series_[i].supply_temp_c.push_back(now_s, c.sec_supply_t_c);
-    cdu_series_[i].pump_power_w.push_back(now_s, c.pump_power_w);
-    cdu_power_series_[i].push_back(now_s, cdu_wall[i]);
+    double* cdu = row + cdu_base(i);
+    cdu[kPriFlowGpm] = units::gpm_from_m3s(c.pri_flow_m3s);
+    cdu[kSecFlowGpm] = units::gpm_from_m3s(c.sec_flow_m3s);
+    cdu[kReturnTempC] = c.pri_return_t_c;
+    cdu[kSupplyTempC] = c.sec_supply_t_c;
+    cdu[kPumpPowerW] = c.pump_power_w;
+    cdu[kRackPowerW] = cdu_wall[i];
+  }
+  // exadigit-hot-end
+}
+
+void DigitalTwin::reserve_series_rows(double t_end_s) {
+  if (series_width_ == 0 || !(t_end_s > engine_.now_s())) return;
+  // At most floor(span / quantum) + 1 boundaries fall in (now, t_end], plus
+  // one off-grid tail flush.
+  const double span = t_end_s - engine_.now_s();
+  const auto rows =
+      static_cast<std::size_t>(std::floor(span / config_.simulation.cooling_quantum_s)) + 2;
+  const std::size_t want = series_rows_.size() + rows * series_width_;
+  if (want > series_rows_.capacity()) {
+    series_rows_.reserve(std::max(want, 2 * series_rows_.capacity()));
   }
 }
 
+TimeSeries DigitalTwin::column_series(std::size_t column) const {
+  const std::size_t rows = series_width_ == 0 ? 0 : series_rows_.size() / series_width_;
+  std::vector<double> times(rows);
+  std::vector<double> values(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = series_rows_.data() + r * series_width_;
+    times[r] = row[kTime];
+    values[r] = row[column];
+  }
+  return TimeSeries(std::move(times), std::move(values));
+}
+
+TimeSeries DigitalTwin::pue_series() const { return column_series(kPue); }
+TimeSeries DigitalTwin::htws_temp_series() const { return column_series(kHtws); }
+TimeSeries DigitalTwin::pri_return_temp_series() const { return column_series(kPriReturn); }
+TimeSeries DigitalTwin::htw_supply_pressure_series() const { return column_series(kPriDp); }
+TimeSeries DigitalTwin::cooling_efficiency_series() const {
+  return column_series(kCoolingEff);
+}
+
+std::vector<CduSeries> DigitalTwin::cdu_series() const {
+  std::vector<CduSeries> out(fmu_ != nullptr ? static_cast<std::size_t>(config_.cdu_count) : 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].pri_flow_gpm = column_series(cdu_base(i) + kPriFlowGpm);
+    out[i].sec_flow_gpm = column_series(cdu_base(i) + kSecFlowGpm);
+    out[i].return_temp_c = column_series(cdu_base(i) + kReturnTempC);
+    out[i].supply_temp_c = column_series(cdu_base(i) + kSupplyTempC);
+    out[i].pump_power_w = column_series(cdu_base(i) + kPumpPowerW);
+  }
+  return out;
+}
+
+std::vector<TimeSeries> DigitalTwin::cdu_rack_power_series() const {
+  std::vector<TimeSeries> out(fmu_ != nullptr ? static_cast<std::size_t>(config_.cdu_count)
+                                              : 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = column_series(cdu_base(i) + kRackPowerW);
+  }
+  return out;
+}
+
 void DigitalTwin::run_until(double t_end_s) {
+  reserve_series_rows(t_end_s);
   engine_.run_until(t_end_s);
   // Flush a final partial plant step when t_end is off the cooling grid
   // (the last quantum callback fired before t_end); on-grid ends are

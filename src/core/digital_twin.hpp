@@ -24,6 +24,15 @@
 /// always equals the simulation clock at the end of every run_until — the
 /// tail heat between the last quantum boundary and t_end is no longer
 /// dropped (the cooling-side twin of the power-model tail-flush fix).
+///
+/// Series storage: each plant step appends one row to a row-major frame —
+/// the time, the 5 system channels and 6 channels per CDU (156 doubles on
+/// Frontier), laid out by one column table in digital_twin.cpp that both
+/// the recorder and the accessors read. The accessors build their
+/// TimeSeries from the frame on every call and return it by value, so read
+/// them once after a run, not inside a loop. run_until reserves the rows
+/// its horizon needs, growing the frame at least geometrically so chunked
+/// replay (one run_until per chunk) never copies it per call.
 
 #include <functional>
 #include <memory>
@@ -96,19 +105,16 @@ class DigitalTwin {
   [[nodiscard]] const CoolingFmu& cooling() const;
   [[nodiscard]] bool cooling_enabled() const { return fmu_ != nullptr; }
 
-  // --- coupled series (cooling quantum resolution) -----------------------
-  [[nodiscard]] const TimeSeries& pue_series() const { return pue_series_; }
-  [[nodiscard]] const TimeSeries& htws_temp_series() const { return htws_series_; }
-  [[nodiscard]] const TimeSeries& pri_return_temp_series() const { return pri_return_series_; }
-  [[nodiscard]] const TimeSeries& htw_supply_pressure_series() const { return pri_dp_series_; }
-  [[nodiscard]] const TimeSeries& cooling_efficiency_series() const {
-    return cooling_eff_series_;
-  }
-  [[nodiscard]] const std::vector<CduSeries>& cdu_series() const { return cdu_series_; }
+  // --- coupled series (cooling quantum resolution), built per call -------
+  [[nodiscard]] TimeSeries pue_series() const;
+  [[nodiscard]] TimeSeries htws_temp_series() const;
+  [[nodiscard]] TimeSeries pri_return_temp_series() const;
+  [[nodiscard]] TimeSeries htw_supply_pressure_series() const;
+  [[nodiscard]] TimeSeries cooling_efficiency_series() const;
+  /// One entry per CDU when cooling is enabled, none otherwise.
+  [[nodiscard]] std::vector<CduSeries> cdu_series() const;
   /// Wall power per CDU over time (cooling-model input channel).
-  [[nodiscard]] const std::vector<TimeSeries>& cdu_rack_power_series() const {
-    return cdu_power_series_;
-  }
+  [[nodiscard]] std::vector<TimeSeries> cdu_rack_power_series() const;
 
   [[nodiscard]] Report report() const { return engine_.report(); }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
@@ -129,15 +135,16 @@ class DigitalTwin {
   double wetbulb_constant_ = 20.0;
   bool collect_series_;
 
-  TimeSeries pue_series_;
-  TimeSeries htws_series_;
-  TimeSeries pri_return_series_;
-  TimeSeries pri_dp_series_;
-  TimeSeries cooling_eff_series_;
-  std::vector<CduSeries> cdu_series_;
-  std::vector<TimeSeries> cdu_power_series_;
+  /// The coupled series frame: one row of series_width_ doubles per plant
+  /// step (see the file comment); width 0 when nothing is recorded.
+  std::vector<double> series_rows_;
+  std::size_t series_width_ = 0;
 
   void on_cooling_quantum(double now_s);
+  /// Reserves the frame rows a run to `t_end_s` can append.
+  void reserve_series_rows(double t_end_s);
+  /// Column `column` of the frame against its time column.
+  [[nodiscard]] TimeSeries column_series(std::size_t column) const;
   [[nodiscard]] double wetbulb_at(double t_s) const;
 };
 

@@ -85,9 +85,10 @@ std::string render_dashboard(const DigitalTwin& twin, const DashboardOptions& op
     os << "utilization    " << sparkline(util.values(), options.sparkline_width) << ' '
        << AsciiTable::num(util.values().back(), 2) << '\n';
   }
-  if (twin.cooling_enabled() && !twin.pue_series().empty()) {
-    os << "PUE            " << sparkline(twin.pue_series().values(), options.sparkline_width)
-       << ' ' << AsciiTable::num(twin.pue_series().values().back(), 3) << '\n';
+  const TimeSeries pue = twin.pue_series();
+  if (twin.cooling_enabled() && !pue.empty()) {
+    os << "PUE            " << sparkline(pue.values(), options.sparkline_width) << ' '
+       << AsciiTable::num(pue.values().back(), 3) << '\n';
   }
   return os.str();
 }

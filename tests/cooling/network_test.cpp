@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -61,9 +62,9 @@ TEST(NetworkTest, PumpSpeedAffinityScaling) {
   const NodeId b = net.add_node();
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
-  net.branch(pump).speed = 1.0;
+  net.set_speed(pump, 1.0);
   const double q_full = net.flow(net.solve(0.1), pump);
-  net.branch(pump).speed = 0.5;
+  net.set_speed(pump, 0.5);
   const double q_half = net.flow(net.solve(0.1), pump);
   EXPECT_NEAR(q_half, 0.5 * q_full, 1e-9);
 }
@@ -75,7 +76,7 @@ TEST(NetworkTest, ParallelPumpUnitsShareFlow) {
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7, 2);
   net.add_resistance(b, a, 1e6);
   const double q2 = net.flow(net.solve(0.5), pump);
-  net.branch(pump).parallel_units = 4;
+  net.set_parallel_units(pump, 4);
   const double q4 = net.flow(net.solve(0.5), pump);
   EXPECT_GT(q4, q2);
   EXPECT_LT(q4, 2.0 * q2);  // system curve limits the gain
@@ -87,11 +88,11 @@ TEST(NetworkTest, ValvePositionThrottlesFlow) {
   const NodeId b = net.add_node();
   net.add_pump(a, b, 300e3, 1e7);
   const BranchId valve = net.add_valve(b, a, 1e7);
-  net.branch(valve).position = 1.0;
+  net.set_position(valve, 1.0);
   const double q_open = net.flow(net.solve(0.1), valve);
-  net.branch(valve).position = 0.5;
+  net.set_position(valve, 0.5);
   const double q_half = net.flow(net.solve(0.1), valve);
-  net.branch(valve).position = 0.05;
+  net.set_position(valve, 0.05);
   const double q_closed = net.flow(net.solve(0.1), valve);
   EXPECT_GT(q_open, q_half);
   EXPECT_GT(q_half, q_closed);
@@ -107,7 +108,7 @@ TEST(NetworkTest, CheckValveBlocksReverseFlow) {
   const BranchId live = net.add_pump(a, b, 300e3, 1e7);
   const BranchId dead = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
-  net.branch(dead).speed = 0.0;
+  net.set_speed(dead, 0.0);
   const NetworkSolution sol = net.solve(0.1);
   EXPECT_GE(net.flow(sol, dead), 0.0);
   EXPECT_GT(net.flow(sol, live), 0.0);
@@ -119,7 +120,7 @@ TEST(NetworkTest, ZeroSpeedPumpAloneGivesZeroFlow) {
   const NodeId b = net.add_node();
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
-  net.branch(pump).speed = 0.0;
+  net.set_speed(pump, 0.0);
   const NetworkSolution sol = net.solve(0.1);
   EXPECT_NEAR(net.flow(sol, pump), 0.0, 1e-9);
 }
@@ -137,7 +138,7 @@ TEST(NetworkTest, PumpHeldAgainstReverseHeadConverges) {
   const BranchId strong = net.add_pump(a, b, 500e3, 5e6, 4);
   const BranchId weak = net.add_pump(a, b, 400e3, 1e7);
   net.add_resistance(b, a, 5e5);
-  net.branch(weak).speed = 0.3;  // s^2 H0 = 36 kPa vs ~300 kPa discharge head
+  net.set_speed(weak, 0.3);  // s^2 H0 = 36 kPa vs ~300 kPa discharge head
   const NetworkSolution sol = net.solve(0.1);
   EXPECT_LT(sol.residual_m3s, 1e-6);
   EXPECT_DOUBLE_EQ(net.flow(sol, weak), 0.0);
@@ -156,7 +157,7 @@ TEST(NetworkTest, PumpHeldAgainstReverseHeadConverges) {
     fresh.add_pump(fa, fb, 500e3, 5e6, 4);
     const BranchId fweak = fresh.add_pump(fa, fb, 400e3, 1e7);
     fresh.add_resistance(fb, fa, 5e5);
-    fresh.branch(fweak).speed = speed;
+    fresh.set_speed(fweak, speed);
     const NetworkSolution s = fresh.solve(0.1);
     const double q = fresh.flow(s, fweak);
     EXPECT_GE(q, 0.0) << "backflow at speed " << speed;
@@ -202,34 +203,83 @@ TEST(NetworkTest, SolveIntoMatchesSolveBitIdentical) {
   }
 }
 
-TEST(NetworkTest, ParameterKeyTracksOperatingPoint) {
+TEST(NetworkTest, SettersTrackOperatingPointChanges) {
   FlowNetwork net;
   const NodeId a = net.add_node();
   const NodeId b = net.add_node();
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
   const BranchId valve = net.add_valve(b, a, 2e7);
+  EXPECT_TRUE(net.take_changed());  // a freshly built network counts as changed
+  EXPECT_FALSE(net.take_changed());
 
-  std::vector<double> key0;
-  net.append_parameter_key(key0);
-  std::vector<double> key1;
-  net.append_parameter_key(key1);
-  EXPECT_EQ(key0, key1);  // stable when nothing changed
+  // Writing the value already held leaves the network unchanged.
+  net.set_speed(pump, 1.0);
+  net.set_position(valve, 1.0);
+  net.set_kind(valve, BranchKind::kValve);
+  net.set_parallel_units(pump, 1);
+  EXPECT_FALSE(net.take_changed());
 
-  net.branch(pump).speed = 0.9;
-  std::vector<double> key2;
-  net.append_parameter_key(key2);
-  EXPECT_NE(key0, key2);
+  // A different value marks it changed; so does writing the original back.
+  net.set_speed(pump, 0.9);
+  EXPECT_TRUE(net.take_changed());
+  EXPECT_EQ(net.branch(pump).speed, 0.9);
+  net.set_speed(pump, 1.0);
+  EXPECT_TRUE(net.take_changed());
+  net.set_position(valve, 0.5);
+  EXPECT_TRUE(net.take_changed());
+  net.set_k(valve, 3e7);
+  EXPECT_TRUE(net.take_changed());
+  net.set_min_position(valve, 0.01);
+  EXPECT_TRUE(net.take_changed());
+  net.set_parallel_units(pump, 2);
+  EXPECT_TRUE(net.take_changed());
+  net.set_kind(valve, BranchKind::kResistance);
+  EXPECT_TRUE(net.take_changed());
 
-  net.branch(pump).speed = 1.0;
-  net.branch(valve).position = 0.5;
-  std::vector<double> key3;
-  net.append_parameter_key(key3);
-  EXPECT_NE(key0, key3);
+  // +0 and -0 compare equal, the same as the exact operating-point match.
+  net.set_speed(pump, 0.0);
+  EXPECT_TRUE(net.take_changed());
+  net.set_speed(pump, -0.0);
+  EXPECT_FALSE(net.take_changed());
 
-  net.branch(valve).position = 1.0;
-  std::vector<double> key4;
-  net.append_parameter_key(key4);
-  EXPECT_EQ(key0, key4);  // exact restore -> exact key match
+  // A NaN never equals anything, so every NaN write counts as a change.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  net.set_position(valve, nan);
+  EXPECT_TRUE(net.take_changed());
+  net.set_position(valve, nan);
+  EXPECT_TRUE(net.take_changed());
+
+  // Adding to the topology marks it changed too.
+  net.add_node();
+  EXPECT_TRUE(net.take_changed());
+}
+
+TEST(NetworkTest, SameShapeIgnoresOnlyTheFreePumpSpeed) {
+  auto build = [] {
+    FlowNetwork net;
+    const NodeId a = net.add_node();
+    const NodeId b = net.add_node();
+    net.add_pump(a, b, 300e3, 1e7);
+    net.add_valve(b, a, 2e7);
+    return net;
+  };
+  constexpr BranchId kPump = 0;
+  constexpr BranchId kValve = 1;
+  FlowNetwork x = build();
+  FlowNetwork y = build();
+  EXPECT_TRUE(x.same_shape(y, kPump));
+
+  y.set_speed(kPump, 0.7);  // the free speed
+  EXPECT_TRUE(x.same_shape(y, kPump));
+  EXPECT_FALSE(x.same_shape(y, kValve));
+
+  y.set_position(kValve, 0.5);
+  EXPECT_FALSE(x.same_shape(y, kPump));
+  y.set_position(kValve, 1.0);
+  EXPECT_TRUE(x.same_shape(y, kPump));
+
+  y.add_node();
+  EXPECT_FALSE(x.same_shape(y, kPump));
 }
 
 TEST(NetworkTest, AdoptSolutionSeedsWarmStart) {
@@ -270,7 +320,7 @@ TEST(NetworkTest, WarmStartConvergesFasterOnReSolve) {
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
   const NetworkSolution cold = net.solve(0.1);
-  net.branch(pump).speed = 0.99;  // tiny perturbation
+  net.set_speed(pump, 0.99);  // tiny perturbation
   const NetworkSolution warm = net.solve(0.1);
   EXPECT_LE(warm.iterations, cold.iterations);
 }
@@ -313,11 +363,11 @@ TEST_P(RandomNetworkProperty, ConvergesAndConservesMass) {
     const BranchId pump =
         net.add_pump(suction, header, rng.uniform(1e5, 5e5), rng.uniform(1e6, 5e7),
                      static_cast<int>(rng.uniform_int(1, 4)));
-    net.branch(pump).speed = rng.uniform(0.3, 1.0);
+    net.set_speed(pump, rng.uniform(0.3, 1.0));
     const int rungs = static_cast<int>(rng.uniform_int(1, 25));
     for (int i = 0; i < rungs; ++i) {
       const BranchId v = net.add_valve(header, ret, rng.uniform(1e6, 1e9));
-      net.branch(v).position = rng.uniform(0.05, 1.0);
+      net.set_position(v, rng.uniform(0.05, 1.0));
     }
     net.add_resistance(ret, suction, rng.uniform(1e5, 1e7));
     const NetworkSolution sol = net.solve(0.1);

@@ -19,48 +19,51 @@ namespace {
 
 constexpr double kRelTol = 1e-12;
 
-void expect_rel_eq(double a, double b, const std::string& what, int step) {
+void expect_rel_eq(double a, double b, const std::string& what, int step,
+                   double rel_tol) {
   const double scale = std::max({std::abs(a), std::abs(b), 1e-30});
-  EXPECT_LE(std::abs(a - b) / scale, kRelTol) << what << " diverged at step " << step
+  EXPECT_LE(std::abs(a - b) / scale, rel_tol) << what << " diverged at step " << step
                                               << ": " << a << " vs " << b;
 }
 
-void expect_outputs_match(const PlantOutputs& a, const PlantOutputs& b, int step) {
+/// `rel_tol` = 0 demands bit-identical outputs (NaN never matches).
+void expect_outputs_match(const PlantOutputs& a, const PlantOutputs& b, int step,
+                          double rel_tol = kRelTol) {
   ASSERT_EQ(a.cdus.size(), b.cdus.size());
   for (std::size_t i = 0; i < a.cdus.size(); ++i) {
     const CduOutputs& x = a.cdus[i];
     const CduOutputs& y = b.cdus[i];
     const std::string tag = "cdu[" + std::to_string(i) + "].";
-    expect_rel_eq(x.pump_power_w, y.pump_power_w, tag + "pump_power_w", step);
-    expect_rel_eq(x.pump_speed, y.pump_speed, tag + "pump_speed", step);
-    expect_rel_eq(x.sec_flow_m3s, y.sec_flow_m3s, tag + "sec_flow_m3s", step);
-    expect_rel_eq(x.pri_flow_m3s, y.pri_flow_m3s, tag + "pri_flow_m3s", step);
-    expect_rel_eq(x.sec_supply_t_c, y.sec_supply_t_c, tag + "sec_supply_t_c", step);
-    expect_rel_eq(x.sec_return_t_c, y.sec_return_t_c, tag + "sec_return_t_c", step);
-    expect_rel_eq(x.sec_supply_p_pa, y.sec_supply_p_pa, tag + "sec_supply_p_pa", step);
-    expect_rel_eq(x.sec_return_p_pa, y.sec_return_p_pa, tag + "sec_return_p_pa", step);
-    expect_rel_eq(x.valve_position, y.valve_position, tag + "valve_position", step);
-    expect_rel_eq(x.hex_duty_w, y.hex_duty_w, tag + "hex_duty_w", step);
-    expect_rel_eq(x.pri_return_t_c, y.pri_return_t_c, tag + "pri_return_t_c", step);
-    expect_rel_eq(x.loop_dp_pa, y.loop_dp_pa, tag + "loop_dp_pa", step);
+    expect_rel_eq(x.pump_power_w, y.pump_power_w, tag + "pump_power_w", step, rel_tol);
+    expect_rel_eq(x.pump_speed, y.pump_speed, tag + "pump_speed", step, rel_tol);
+    expect_rel_eq(x.sec_flow_m3s, y.sec_flow_m3s, tag + "sec_flow_m3s", step, rel_tol);
+    expect_rel_eq(x.pri_flow_m3s, y.pri_flow_m3s, tag + "pri_flow_m3s", step, rel_tol);
+    expect_rel_eq(x.sec_supply_t_c, y.sec_supply_t_c, tag + "sec_supply_t_c", step, rel_tol);
+    expect_rel_eq(x.sec_return_t_c, y.sec_return_t_c, tag + "sec_return_t_c", step, rel_tol);
+    expect_rel_eq(x.sec_supply_p_pa, y.sec_supply_p_pa, tag + "sec_supply_p_pa", step, rel_tol);
+    expect_rel_eq(x.sec_return_p_pa, y.sec_return_p_pa, tag + "sec_return_p_pa", step, rel_tol);
+    expect_rel_eq(x.valve_position, y.valve_position, tag + "valve_position", step, rel_tol);
+    expect_rel_eq(x.hex_duty_w, y.hex_duty_w, tag + "hex_duty_w", step, rel_tol);
+    expect_rel_eq(x.pri_return_t_c, y.pri_return_t_c, tag + "pri_return_t_c", step, rel_tol);
+    expect_rel_eq(x.loop_dp_pa, y.loop_dp_pa, tag + "loop_dp_pa", step, rel_tol);
   }
   EXPECT_EQ(a.htwp_staged, b.htwp_staged) << "step " << step;
-  expect_rel_eq(a.htwp_speed, b.htwp_speed, "htwp_speed", step);
-  expect_rel_eq(a.htwp_power_w, b.htwp_power_w, "htwp_power_w", step);
+  expect_rel_eq(a.htwp_speed, b.htwp_speed, "htwp_speed", step, rel_tol);
+  expect_rel_eq(a.htwp_power_w, b.htwp_power_w, "htwp_power_w", step, rel_tol);
   EXPECT_EQ(a.ehx_staged, b.ehx_staged) << "step " << step;
-  expect_rel_eq(a.pri_supply_t_c, b.pri_supply_t_c, "pri_supply_t_c", step);
-  expect_rel_eq(a.pri_return_t_c, b.pri_return_t_c, "pri_return_t_c", step);
-  expect_rel_eq(a.pri_flow_m3s, b.pri_flow_m3s, "pri_flow_m3s", step);
-  expect_rel_eq(a.pri_dp_pa, b.pri_dp_pa, "pri_dp_pa", step);
+  expect_rel_eq(a.pri_supply_t_c, b.pri_supply_t_c, "pri_supply_t_c", step, rel_tol);
+  expect_rel_eq(a.pri_return_t_c, b.pri_return_t_c, "pri_return_t_c", step, rel_tol);
+  expect_rel_eq(a.pri_flow_m3s, b.pri_flow_m3s, "pri_flow_m3s", step, rel_tol);
+  expect_rel_eq(a.pri_dp_pa, b.pri_dp_pa, "pri_dp_pa", step, rel_tol);
   EXPECT_EQ(a.ct_cells_staged, b.ct_cells_staged) << "step " << step;
   EXPECT_EQ(a.ctwp_staged, b.ctwp_staged) << "step " << step;
-  expect_rel_eq(a.ctwp_speed, b.ctwp_speed, "ctwp_speed", step);
-  expect_rel_eq(a.ctwp_power_w, b.ctwp_power_w, "ctwp_power_w", step);
-  expect_rel_eq(a.fan_speed, b.fan_speed, "fan_speed", step);
-  expect_rel_eq(a.fan_power_w, b.fan_power_w, "fan_power_w", step);
-  expect_rel_eq(a.ct_supply_t_c, b.ct_supply_t_c, "ct_supply_t_c", step);
-  expect_rel_eq(a.ct_return_t_c, b.ct_return_t_c, "ct_return_t_c", step);
-  expect_rel_eq(a.pue, b.pue, "pue", step);
+  expect_rel_eq(a.ctwp_speed, b.ctwp_speed, "ctwp_speed", step, rel_tol);
+  expect_rel_eq(a.ctwp_power_w, b.ctwp_power_w, "ctwp_power_w", step, rel_tol);
+  expect_rel_eq(a.fan_speed, b.fan_speed, "fan_speed", step, rel_tol);
+  expect_rel_eq(a.fan_power_w, b.fan_power_w, "fan_power_w", step, rel_tol);
+  expect_rel_eq(a.ct_supply_t_c, b.ct_supply_t_c, "ct_supply_t_c", step, rel_tol);
+  expect_rel_eq(a.ct_return_t_c, b.ct_return_t_c, "ct_return_t_c", step, rel_tol);
+  expect_rel_eq(a.pue, b.pue, "pue", step, rel_tol);
 }
 
 /// Drives both plants through an identical churn script: per-CDU load
@@ -210,6 +213,58 @@ TEST(PlantDedupTest, EnergyAndPueConsistentUnderDedup) {
                           out.fan_power_w;
   EXPECT_NEAR(out.pue, facility / in.system_power_w, 1e-12);
   EXPECT_GT(out.pue, 1.0);
+}
+
+/// Unperturbed inputs: every CDU sees the same heat load.
+void steady_step(CoolingPlantModel& plant, const SystemConfig& config) {
+  CoolingInputs in;
+  in.cdu_heat_w.assign(static_cast<std::size_t>(config.cdu_count),
+                       units::watts_from_mw(17.0) * config.cooling.cooling_efficiency /
+                           config.cdu_count);
+  in.wetbulb_c = 16.0;
+  in.system_power_w = units::watts_from_mw(17.0);
+  plant.step(in, config.cooling.step_s);
+}
+
+/// Clearing a blockage (factor 1) and reset() both restore the rack branch
+/// as built, so the loop's shape matches its siblings again and it rejoins
+/// their shared solve: per-step Newton solves equal those of a plant that
+/// was never blocked, and every step stays bit-identical to always-solve.
+TEST(PlantDedupTest, ClearedBlockageRejoinsDedupAfterReset) {
+  const SystemConfig config = frontier_system_config();
+  CoolingPlantModel cleared(config);      // blocked, cleared, then reset
+  CoolingPlantModel reset_only(config);   // blocked, then reset
+  CoolingPlantModel never_blocked(config);
+  CoolingPlantModel ref(config);
+  ref.set_hydraulics_eval(HydraulicsEval::kAlwaysSolve);
+  for (CoolingPlantModel* plant : {&cleared, &reset_only, &ref}) {
+    plant->set_rack_blockage(3, 1, 0.35);
+  }
+  cleared.set_rack_blockage(3, 1, 1.0);
+  ref.set_rack_blockage(3, 1, 1.0);
+  for (CoolingPlantModel* plant : {&cleared, &reset_only, &never_blocked, &ref}) {
+    plant->reset(20.0);
+  }
+  EXPECT_EQ(cleared.hydraulics_stats().solves_performed,
+            never_blocked.hydraulics_stats().solves_performed);
+
+  for (int step = 0; step < 60; ++step) {
+    auto performed = [](const CoolingPlantModel& plant) {
+      return plant.hydraulics_stats().solves_performed;
+    };
+    const long long before_cleared = performed(cleared);
+    const long long before_reset_only = performed(reset_only);
+    const long long before_never = performed(never_blocked);
+    for (CoolingPlantModel* plant : {&cleared, &reset_only, &never_blocked, &ref}) {
+      steady_step(*plant, config);
+    }
+    const long long never = performed(never_blocked) - before_never;
+    EXPECT_EQ(performed(cleared) - before_cleared, never) << "step " << step;
+    EXPECT_EQ(performed(reset_only) - before_reset_only, never) << "step " << step;
+    expect_outputs_match(cleared.outputs(), ref.outputs(), step, /*rel_tol=*/0.0);
+    expect_outputs_match(reset_only.outputs(), ref.outputs(), step, /*rel_tol=*/0.0);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(PlantDedupTest, SwitchingModesMidRunStaysExact) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/units.hpp"
 #include "core/digital_twin.hpp"
 #include "core/physical_twin.hpp"
@@ -59,6 +62,47 @@ TEST(DeterminismTest, ChunkedRunMatchesMonolithic) {
   EXPECT_EQ(mono.cooling().outputs().pue, chunked.cooling().outputs().pue);
   EXPECT_EQ(mono.cooling().outputs().pri_supply_t_c,
             chunked.cooling().outputs().pri_supply_t_c);
+
+  // Every recorded channel, bit for bit: the chunked run appends its rows
+  // over 60 calls (and grows the series storage between them), the
+  // monolithic run in one.
+  auto expect_same = [](const TimeSeries& a, const TimeSeries& b, const std::string& what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.time(i), b.time(i)) << what << " time " << i;
+      EXPECT_EQ(a.value(i), b.value(i)) << what << " value " << i;
+    }
+  };
+  const TimeSeries pue = mono.pue_series();
+  EXPECT_EQ(pue.size(), 240u);  // one row per 15 s quantum
+  expect_same(pue, chunked.pue_series(), "pue");
+  expect_same(mono.htws_temp_series(), chunked.htws_temp_series(), "htws");
+  expect_same(mono.pri_return_temp_series(), chunked.pri_return_temp_series(),
+              "pri_return");
+  expect_same(mono.htw_supply_pressure_series(), chunked.htw_supply_pressure_series(),
+              "pri_dp");
+  expect_same(mono.cooling_efficiency_series(), chunked.cooling_efficiency_series(),
+              "cooling_eff");
+  const std::vector<CduSeries> mono_cdus = mono.cdu_series();
+  const std::vector<CduSeries> chunked_cdus = chunked.cdu_series();
+  const std::vector<TimeSeries> mono_power = mono.cdu_rack_power_series();
+  const std::vector<TimeSeries> chunked_power = chunked.cdu_rack_power_series();
+  ASSERT_EQ(mono_cdus.size(), 25u);
+  ASSERT_EQ(chunked_cdus.size(), 25u);
+  ASSERT_EQ(mono_power.size(), 25u);
+  ASSERT_EQ(chunked_power.size(), 25u);
+  for (std::size_t i = 0; i < mono_cdus.size(); ++i) {
+    const std::string cdu = "cdu " + std::to_string(i) + " ";
+    const CduSeries& m = mono_cdus[i];
+    const CduSeries& c = chunked_cdus[i];
+    expect_same(m.pri_flow_gpm, c.pri_flow_gpm, cdu + "pri_flow_gpm");
+    expect_same(m.sec_flow_gpm, c.sec_flow_gpm, cdu + "sec_flow_gpm");
+    expect_same(m.return_temp_c, c.return_temp_c, cdu + "return_temp_c");
+    expect_same(m.supply_temp_c, c.supply_temp_c, cdu + "supply_temp_c");
+    expect_same(m.pump_power_w, c.pump_power_w, cdu + "pump_power_w");
+    expect_same(mono_power[i], chunked_power[i], cdu + "rack_power_w");
+    EXPECT_EQ(m.pri_flow_gpm.times(), pue.times()) << cdu << "shares the pue time axis";
+  }
 }
 
 TEST(DeterminismTest, PhysicalTwinDatasetsBitIdentical) {
