@@ -1,5 +1,6 @@
 #include "json/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -54,6 +55,10 @@ std::int64_t Json::as_int() const {
   const double n = as_number();
   const double r = std::nearbyint(n);
   if (r != n) throw JsonTypeError("number is not integral: " + std::to_string(n));
+  // [-2^63, 2^63): converting a double outside it to int64 is undefined.
+  if (r < -0x1p63 || r >= 0x1p63) {
+    throw JsonTypeError("number outside the int64 range: " + format_double(r));
+  }
   return static_cast<std::int64_t>(r);
 }
 
@@ -481,6 +486,25 @@ Json Json::load_file(const std::string& path) {
   std::ostringstream buf;
   buf << f.rdbuf();
   return parse(buf.str());
+}
+
+void reject_unknown_keys(const Json& obj, const std::vector<std::string>& valid,
+                         const std::string& where, const std::string& path) {
+  if (!obj.is_object()) {
+    throw ConfigError((path.empty() ? where : path + " in " + where) + " must be a JSON object");
+  }
+  for (const auto& [key, value] : obj.as_object()) {
+    (void)value;
+    if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
+    std::string msg = "unknown key \"" + key + "\"";
+    if (!path.empty()) msg += " (" + path + "." + key + ")";
+    msg += " in " + where;
+    if (valid.empty()) msg += "; it takes no params";
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      msg += (i == 0 ? "; valid keys: " : ", ") + valid[i];
+    }
+    throw ConfigError(msg);
+  }
 }
 
 void Json::save_file(const std::string& path, int indent) const {

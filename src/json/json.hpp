@@ -126,4 +126,13 @@ class Json {
   void dump_to(std::string& out, int indent, int depth) const;
 };
 
+/// Throws ConfigError unless `obj` is an object whose keys all appear in
+/// `valid`, so a misspelt key fails instead of silently running a default.
+/// The message names the key (and its full path `path.key` when `path` is
+/// non-empty), `where` it was found, and the valid keys, or says that it
+/// takes no params. Every strict JSON boundary shares it: config sections,
+/// scenario specs, sources, batches and params, and policy params.
+void reject_unknown_keys(const Json& obj, const std::vector<std::string>& valid,
+                         const std::string& where, const std::string& path = "");
+
 }  // namespace exadigit

@@ -101,27 +101,7 @@ std::vector<std::string> SchedulingPolicyRegistry::names() const {
 
 void check_policy_params(const Json& params, const std::string& policy,
                          const std::vector<std::string>& allowed) {
-  if (params.is_null()) return;
-  if (!params.is_object()) {
-    throw ConfigError("policy \"" + policy + "\" params must be a JSON object");
-  }
-  for (const auto& [key, value] : params.as_object()) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) continue;
-    std::string msg = "policy \"" + policy + "\" does not accept param \"" + key + "\"";
-    if (allowed.empty()) {
-      msg += " (it takes no params)";
-    } else {
-      msg += "; allowed params are: ";
-      bool first = true;
-      for (const auto& a : allowed) {
-        if (!first) msg += ", ";
-        msg += "\"" + a + "\"";
-        first = false;
-      }
-    }
-    throw ConfigError(msg);
-  }
+  if (!params.is_null()) reject_unknown_keys(params, allowed, "policy \"" + policy + "\" params");
 }
 
 }  // namespace exadigit

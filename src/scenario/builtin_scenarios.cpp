@@ -27,19 +27,10 @@ namespace {
 
 /// Rejects params keys outside `allowed` — params is the most typo-prone
 /// layer of a batch file, and an ignored key silently runs defaults.
-void check_params(const ScenarioSpec& spec, const std::set<std::string>& allowed) {
-  if (!spec.params.is_object()) return;
-  for (const auto& [key, value] : spec.params.as_object()) {
-    (void)value;
-    if (allowed.count(key) == 0) {
-      std::string known;
-      for (const std::string& k : allowed) known += known.empty() ? k : ", " + k;
-      throw ConfigError("scenario \"" + spec.name + "\" (" + spec.type +
-                        "): unknown params field \"" + key + "\"" +
-                        (known.empty() ? " (type takes no params)"
-                                       : " (known: " + known + ")"));
-    }
-  }
+void check_params(const ScenarioSpec& spec, const std::vector<std::string>& allowed) {
+  if (spec.params.is_null()) return;
+  reject_unknown_keys(spec.params, allowed,
+                      "scenario \"" + spec.name + "\" (" + spec.type + ") params");
 }
 
 bool param_bool(const ScenarioSpec& spec, const std::string& key, bool fallback) {
@@ -80,40 +71,8 @@ void add_report_metrics(ScenarioResult& r, const Report& report) {
 // --- workflow adapters -----------------------------------------------------
 
 ScenarioResult run_simulate_scenario(const ScenarioSpec& spec) {
-  check_params(spec,
-               {"cooling", "engine", "hydraulics", "thermal", "policy", "policy_params"});
-  SystemConfig config = spec.resolve_config();
-  // "policy" / "policy_params": scheduling policy for the built-in
-  // scheduler (see raps/policy/). Equivalent to a config delta on
-  // scheduler.policy / scheduler.params; validated here so a typo fails
-  // before the twin is built.
-  if (spec.params.is_object() && spec.params.contains("policy")) {
-    const std::string policy = spec.params.at("policy").as_string();
-    require_scheduler_policy_name(policy);
-    config.scheduler.policy = policy;
-  }
-  if (spec.params.is_object() && spec.params.contains("policy_params")) {
-    config.scheduler.policy_params = spec.params.at("policy_params");
-  }
-  // "engine": "event" (default) or "tick" — the legacy fixed-step loop,
-  // kept for A/B validation batches (results are bit-identical; see
-  // raps/engine.hpp). Equivalent to a config delta on simulation.engine.
-  if (spec.params.is_object() && spec.params.contains("engine")) {
-    config.simulation.engine =
-        engine_mode_from_name(spec.params.at("engine").as_string());
-  }
-  // "hydraulics": "dedup" (default) or "always_solve" — the reference
-  // cooling hydraulic path, same A/B role as "engine" (see cooling/plant.hpp).
-  if (spec.params.is_object() && spec.params.contains("hydraulics")) {
-    config.cooling.hydraulics =
-        hydraulics_eval_from_name(spec.params.at("hydraulics").as_string());
-  }
-  // "thermal": "batched" (default) or "scalar" — the reference per-CDU HX
-  // kernel, same A/B role (see cooling/heat_exchanger.hpp).
-  if (spec.params.is_object() && spec.params.contains("thermal")) {
-    config.cooling.thermal =
-        thermal_eval_from_name(spec.params.at("thermal").as_string());
-  }
+  check_params(spec, {"cooling"});
+  const SystemConfig config = spec.resolve_config();
   const std::uint64_t seed = spec.seed_or(42);
   const bool cooling = param_bool(spec, "cooling", true);
   const double duration = spec.horizon_s();

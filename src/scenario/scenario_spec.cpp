@@ -17,17 +17,6 @@ namespace exadigit {
 
 namespace {
 
-/// Rejects keys outside `allowed` so batch-file typos fail loudly.
-void check_keys(const Json& j, const std::set<std::string>& allowed,
-                const std::string& where) {
-  for (const auto& [key, value] : j.as_object()) {
-    (void)value;
-    if (allowed.count(key) == 0) {
-      throw ConfigError("unknown " + where + " field: \"" + key + "\"");
-    }
-  }
-}
-
 std::mutex dataset_loader_mutex;
 ScenarioDatasetLoader dataset_loader;  // empty = default filesystem resolution
 ScenarioChunkSourceOpener chunk_source_opener;  // empty = default resolution
@@ -65,9 +54,9 @@ TimeSeries synthetic_wetbulb_series(double duration_s, std::uint64_t seed) {
 }
 
 ScenarioSource ScenarioSource::from_json(const Json& j) {
-  if (!j.is_object()) throw ConfigError("scenario source must be an object");
-  check_keys(j, {"kind", "path", "format", "hours", "seed", "chunk_seconds", "max_resident_mb"},
-             "scenario source");
+  reject_unknown_keys(
+      j, {"kind", "path", "format", "hours", "seed", "chunk_seconds", "max_resident_mb"},
+      "scenario source");
   ScenarioSource s;
   s.path = j.string_or("path", "");
   s.format = j.string_or("format", "");
@@ -169,11 +158,10 @@ std::unique_ptr<ChunkedTelemetrySource> ScenarioSpec::resolve_chunk_source(
 }
 
 ScenarioSpec ScenarioSpec::from_json(const Json& j) {
-  if (!j.is_object()) throw ConfigError("scenario spec must be an object");
-  check_keys(j,
-             {"name", "type", "config_path", "config", "source", "horizon_hours", "seed",
-              "params"},
-             "scenario spec");
+  reject_unknown_keys(j,
+                      {"name", "type", "config_path", "config", "source", "horizon_hours",
+                       "seed", "params"},
+                      "scenario spec");
   ScenarioSpec s;
   s.type = j.string_or("type", "");
   require(!s.type.empty(), "scenario spec requires a \"type\"");
@@ -213,7 +201,7 @@ ScenarioBatch ScenarioBatch::from_json(const Json& j) {
   ScenarioBatch batch;
   const Json* scenarios = &j;
   if (j.is_object()) {
-    check_keys(j, {"scenarios", "jobs", "seed"}, "scenario batch");
+    reject_unknown_keys(j, {"scenarios", "jobs", "seed"}, "scenario batch");
     require(j.contains("scenarios"), "scenario batch requires a \"scenarios\" array");
     scenarios = &j.at("scenarios");
     batch.jobs = static_cast<int>(j.int_or("jobs", batch.jobs));

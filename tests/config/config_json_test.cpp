@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace exadigit {
@@ -133,7 +135,8 @@ TEST(ConfigJsonTest, MissingFieldsTakeFrontierDefaults) {
 
 TEST(ConfigJsonTest, SchedulerPolicyNames) {
   // Legacy names stay parseable, and the new built-ins are accepted.
-  for (const char* name : {"fcfs", "sjf", "easy_backfill", "priority", "power_capped"}) {
+  for (const char* name :
+       {"fcfs", "sjf", "easy_backfill", "priority", "power_capped", "price_aware"}) {
     Json j;
     j["scheduler"]["policy"] = Json(name);
     EXPECT_NO_THROW(system_config_from_json(j));
@@ -192,6 +195,270 @@ TEST(ConfigJsonTest, InvalidDescriptorFailsValidation) {
   Json j;
   j["rack_count"] = Json(100);  // exceeds 25 * 3 CDU positions
   EXPECT_THROW(system_config_from_json(j), ConfigError);
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(EXADIGIT_CONFIG_GOLDEN_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The descriptor JSON is hashed into config and cache keys, so its bytes
+// must not move. The golden files were written by the per-struct
+// hand-written serializers the field tables replaced.
+TEST(ConfigJsonTest, DescriptorsMatchGoldenFilesByteForByte) {
+  EXPECT_EQ(system_config_to_json(frontier_system_config()).dump(2) + "\n",
+            read_golden("frontier.json"));
+  EXPECT_EQ(system_config_to_json(setonix_like_config()).dump(2) + "\n",
+            read_golden("setonix_like.json"));
+}
+
+// Every descriptor key, each set to a value that differs from the Frontier
+// default and from its neighbours, written out by hand so that the test
+// does not depend on the field tables.
+constexpr const char* kEveryField = R"({
+  "name": "every-field", "cdu_count": 7, "racks_per_cdu": 5, "rack_count": 33,
+  "node": {"cpus_per_node": 3, "gpus_per_node": 6, "nics_per_node": 5, "nvme_per_node": 7,
+           "cpu_idle_w": 91.5, "cpu_peak_w": 281.5, "gpu_idle_w": 89.5, "gpu_peak_w": 561.5,
+           "ram_avg_w": 75.5, "nic_w": 21.5, "nvme_w": 16.5},
+  "rack": {"chassis_per_rack": 9, "rectifiers_per_rack": 36, "blades_per_rack": 66,
+           "nodes_per_rack": 132, "sivocs_per_rack": 130, "switches_per_rack": 34,
+           "switch_avg_w": 251.5},
+  "power": {"rectifier_efficiency": [[0, 0.81], [9000, 0.95]],
+            "sivoc_efficiency": [[0, 0.82], [1, 0.97]], "rectifier_rated_w": 12600.5,
+            "sivoc_rated_w": 2900.5, "rectifiers_per_group": 6, "blades_per_group": 11,
+            "load_sharing": "smart_staging", "feed": "dc380", "dc_feed_efficiency": 0.991},
+  "scheduler": {"policy": "power_capped", "params": {"cap_mw": 17.5}, "max_queue_depth": 44},
+  "workload": {"mean_arrival_s": 56.5, "mean_nodes": 269.5, "std_nodes": 627.5,
+               "mean_walltime_s": 2341.5, "std_walltime_s": 1801.5, "mean_cpu_util": 0.43,
+               "std_cpu_util": 0.17, "mean_gpu_util": 0.71, "std_gpu_util": 0.23},
+  "economics": {"electricity_usd_per_kwh": 0.11, "emission_lbs_per_mwh": 853.5},
+  "cooling": {
+    "cdu": {"pump_avg_w": 8701.5,
+            "pump": {"design_flow_m3s": 0.031, "design_head_pa": 206001.5,
+                     "shutoff_head_pa": 279001.5, "rated_power_w": 8702.5, "efficiency": 0.76,
+                     "min_speed": 0.21},
+            "secondary_volume_m3": 1.25, "secondary_design_flow_m3s": 0.0325,
+            "secondary_design_dp_pa": 206002.5, "hex_ua_w_per_k": 300001.5,
+            "supply_setpoint_c": 31.5, "loop_dp_setpoint_pa": 175001.5,
+            "rack_branch_dp_pa": 113001.5},
+    "primary": {"pump_count": 5,
+                "pump": {"design_flow_m3s": 0.091, "design_head_pa": 310002.5,
+                         "shutoff_head_pa": 400001.5, "rated_power_w": 40001.5,
+                         "efficiency": 0.77, "min_speed": 0.22},
+                "ehx_count": 6, "ehx_ua_w_per_k": 2000001.5, "volume_m3": 41.5,
+                "design_flow_m3s": 0.355, "htws_setpoint_c": 27.5, "dp_setpoint_pa": 310001.5,
+                "stage_up_speed": 0.93, "stage_down_speed": 0.46, "stage_min_interval_s": 301.5},
+    "ct": {"pump_count": 3,
+           "pump": {"design_flow_m3s": 0.201, "design_head_pa": 220001.5,
+                    "shutoff_head_pa": 290001.5, "rated_power_w": 60001.5, "efficiency": 0.79,
+                    "min_speed": 0.23},
+           "volume_m3": 91.5, "design_flow_m3s": 0.61, "header_pressure_setpoint_pa": 145001.5,
+           "stage_up_speed": 0.94, "stage_down_speed": 0.47, "stage_min_interval_s": 302.5,
+           "ct_stage_temp_band_k": 1.6, "ct_stage_min_interval_s": 601.5,
+           "tower": {"tower_count": 4, "cells_per_tower": 2, "fan_rated_w": 37001.5,
+                     "design_approach_k": 4.5, "effectiveness": [[0, 0.1], [1, 0.7]]}},
+    "cooling_efficiency": 0.944, "staging_delay_s": 121.5, "step_s": 16.5,
+    "thermal_substep_s": 3.5, "hydraulics": "always_solve", "thermal": "scalar"},
+  "simulation": {"tick_s": 1.5, "cooling_quantum_s": 16.5, "trace_quantum_s": 14.5,
+                 "engine": "tick"},
+  "partitions": [
+    {"name": "cpu", "node_count": 1000,
+     "node": {"cpus_per_node": 2, "gpus_per_node": 0, "nics_per_node": 1, "nvme_per_node": 4,
+              "cpu_idle_w": 92.5, "cpu_peak_w": 282.5, "gpu_idle_w": 0.5, "gpu_peak_w": 1.5,
+              "ram_avg_w": 76.5, "nic_w": 22.5, "nvme_w": 17.5}},
+    {"name": "gpu", "node_count": 500,
+     "node": {"cpus_per_node": 4, "gpus_per_node": 8, "nics_per_node": 8, "nvme_per_node": 1,
+              "cpu_idle_w": 93.5, "cpu_peak_w": 283.5, "gpu_idle_w": 90.5, "gpu_peak_w": 562.5,
+              "ram_avg_w": 77.5, "nic_w": 23.5, "nvme_w": 18.5}}]
+})";
+
+NodeConfig node_of(int cpus, int gpus, int nics, int nvmes, std::vector<double> watts) {
+  NodeConfig n;
+  n.cpus_per_node = cpus;
+  n.gpus_per_node = gpus;
+  n.nics_per_node = nics;
+  n.nvme_per_node = nvmes;
+  n.cpu_idle_w = watts[0];
+  n.cpu_peak_w = watts[1];
+  n.gpu_idle_w = watts[2];
+  n.gpu_peak_w = watts[3];
+  n.ram_avg_w = watts[4];
+  n.nic_w = watts[5];
+  n.nvme_w = watts[6];
+  return n;
+}
+
+PumpConfig pump_of(double flow, double head, double shutoff, double rated, double eff,
+                   double min_speed) {
+  PumpConfig p;
+  p.design_flow_m3s = flow;
+  p.design_head_pa = head;
+  p.shutoff_head_pa = shutoff;
+  p.rated_power_w = rated;
+  p.efficiency = eff;
+  p.min_speed = min_speed;
+  return p;
+}
+
+/// kEveryField built member by member, independently of the JSON keys.
+SystemConfig every_field_config() {
+  SystemConfig c;
+  c.name = "every-field";
+  c.cdu_count = 7;
+  c.racks_per_cdu = 5;
+  c.rack_count = 33;
+  c.node = node_of(3, 6, 5, 7, {91.5, 281.5, 89.5, 561.5, 75.5, 21.5, 16.5});
+  c.rack.chassis_per_rack = 9;
+  c.rack.rectifiers_per_rack = 36;
+  c.rack.blades_per_rack = 66;
+  c.rack.nodes_per_rack = 132;
+  c.rack.sivocs_per_rack = 130;
+  c.rack.switches_per_rack = 34;
+  c.rack.switch_avg_w = 251.5;
+  c.power.rectifier_efficiency = PiecewiseLinearCurve{{0.0, 0.81}, {9000.0, 0.95}};
+  c.power.sivoc_efficiency = PiecewiseLinearCurve{{0.0, 0.82}, {1.0, 0.97}};
+  c.power.rectifier_rated_w = 12600.5;
+  c.power.sivoc_rated_w = 2900.5;
+  c.power.rectifiers_per_group = 6;
+  c.power.blades_per_group = 11;
+  c.power.load_sharing = LoadSharingPolicy::kSmartStaging;
+  c.power.feed = PowerFeed::kDC380;
+  c.power.dc_feed_efficiency = 0.991;
+  c.scheduler.policy = "power_capped";
+  c.scheduler.policy_params["cap_mw"] = Json(17.5);
+  c.scheduler.max_queue_depth = 44;
+  c.workload = WorkloadConfig{56.5, 269.5, 627.5, 2341.5, 1801.5, 0.43, 0.17, 0.71, 0.23};
+  c.economics.electricity_usd_per_kwh = 0.11;
+  c.economics.emission_lbs_per_mwh = 853.5;
+  CoolingConfig& k = c.cooling;
+  k.cdu.pump_avg_w = 8701.5;
+  k.cdu.pump = pump_of(0.031, 206001.5, 279001.5, 8702.5, 0.76, 0.21);
+  k.cdu.secondary_volume_m3 = 1.25;
+  k.cdu.secondary_design_flow_m3s = 0.0325;
+  k.cdu.secondary_design_dp_pa = 206002.5;
+  k.cdu.hex.ua_w_per_k = 300001.5;
+  k.cdu.supply_setpoint_c = 31.5;
+  k.cdu.loop_dp_setpoint_pa = 175001.5;
+  k.cdu.rack_branch_dp_pa = 113001.5;
+  k.primary.pump_count = 5;
+  k.primary.pump = pump_of(0.091, 310002.5, 400001.5, 40001.5, 0.77, 0.22);
+  k.primary.ehx_count = 6;
+  k.primary.ehx.ua_w_per_k = 2000001.5;
+  k.primary.volume_m3 = 41.5;
+  k.primary.design_flow_m3s = 0.355;
+  k.primary.htws_setpoint_c = 27.5;
+  k.primary.dp_setpoint_pa = 310001.5;
+  k.primary.stage_up_speed = 0.93;
+  k.primary.stage_down_speed = 0.46;
+  k.primary.stage_min_interval_s = 301.5;
+  k.ct.pump_count = 3;
+  k.ct.pump = pump_of(0.201, 220001.5, 290001.5, 60001.5, 0.79, 0.23);
+  k.ct.volume_m3 = 91.5;
+  k.ct.design_flow_m3s = 0.61;
+  k.ct.header_pressure_setpoint_pa = 145001.5;
+  k.ct.stage_up_speed = 0.94;
+  k.ct.stage_down_speed = 0.47;
+  k.ct.stage_min_interval_s = 302.5;
+  k.ct.ct_stage_temp_band_k = 1.6;
+  k.ct.ct_stage_min_interval_s = 601.5;
+  k.ct.tower.tower_count = 4;
+  k.ct.tower.cells_per_tower = 2;
+  k.ct.tower.fan_rated_w = 37001.5;
+  k.ct.tower.design_approach_k = 4.5;
+  k.ct.tower.effectiveness = PiecewiseLinearCurve{{0.0, 0.1}, {1.0, 0.7}};
+  k.cooling_efficiency = 0.944;
+  k.staging_delay_s = 121.5;
+  k.step_s = 16.5;
+  k.thermal_substep_s = 3.5;
+  k.hydraulics = HydraulicsEval::kAlwaysSolve;
+  k.thermal = ThermalEval::kScalar;
+  c.simulation.tick_s = 1.5;
+  c.simulation.cooling_quantum_s = 16.5;
+  c.simulation.trace_quantum_s = 14.5;
+  c.simulation.engine = EngineMode::kTickLoop;
+  c.partitions = {
+      PartitionConfig{"cpu", 1000, node_of(2, 0, 1, 4, {92.5, 282.5, 0.5, 1.5, 76.5, 22.5, 17.5})},
+      PartitionConfig{"gpu", 500, node_of(4, 8, 8, 1, {93.5, 283.5, 90.5, 562.5, 77.5, 23.5, 18.5})}};
+  return c;
+}
+
+// A row that points at the wrong member (or a member that no row names)
+// makes one of these differ: the struct-to-JSON direction is checked
+// against the hand-written document, then JSON-to-struct by the round trip.
+TEST(ConfigJsonTest, EveryFieldRoundTripsThroughItsOwnKey) {
+  const Json doc = Json::parse(kEveryField);
+  const SystemConfig built = every_field_config();
+  ASSERT_NO_THROW(built.validate());
+  EXPECT_EQ(system_config_to_json(built).dump(2), doc.dump(2));
+  EXPECT_EQ(system_config_to_json(system_config_from_json(doc)).dump(2), doc.dump(2));
+}
+
+/// The ConfigError message of parsing `text`, or "" when it parses.
+std::string config_error(const std::string& text) {
+  try {
+    (void)system_config_from_json(Json::parse(text));
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConfigJsonTest, MisspeltKeyAtEveryLevelNamesItsPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"nmae": "x"})", "\"nmae\""},
+      {R"({"node": {"gpu_peak_W": 9999}})", "node.gpu_peak_W"},
+      {R"({"cooling": {"cdu": {"pump": {"design_flow": 1}}}})", "cooling.cdu.pump.design_flow"},
+      {R"({"cooling": {"ct": {"tower": {"towers": 3}}}})", "cooling.ct.tower.towers"},
+      {R"({"cdu_count": 4, "racks_per_cdu": 3, "rack_count": 12, "partitions": [
+            {"name": "p", "node_count": 8, "node": {"gpu_peak_W": 1}}]})",
+       "partitions[0].node.gpu_peak_W"},
+      {R"({"scheduler": {"polcy": "fcfs"}})", "scheduler.polcy"},
+  };
+  for (const auto& [text, path] : cases) {
+    const std::string what = config_error(text);
+    EXPECT_NE(what.find(path), std::string::npos) << text << " -> " << what;
+    EXPECT_NE(what.find("valid keys"), std::string::npos) << what;
+  }
+  // The valid keys of the section are listed.
+  EXPECT_NE(config_error(R"({"node": {"gpu_peak_W": 9999}})").find("gpu_peak_w"),
+            std::string::npos);
+}
+
+TEST(ConfigJsonTest, NullMeansDefaultInDocumentsAndDeltas) {
+  const Json delta = Json::parse(R"({"node": {"gpu_peak_w": null}})");
+  EXPECT_EQ(system_config_from_json(delta).node.gpu_peak_w, 560.0);
+  Json changed = frontier_descriptor_json();
+  changed["node"]["gpu_peak_w"] = Json(600.0);
+  ASSERT_EQ(system_config_from_json(changed).node.gpu_peak_w, 600.0);
+  // RFC 7386: a null member of a delta deletes the key, so the default returns.
+  EXPECT_EQ(system_config_from_json(Json::merge_patch(changed, delta)).node.gpu_peak_w, 560.0);
+}
+
+TEST(ConfigJsonTest, IntegersOutsideIntAreErrorsNotWraparound) {
+  // 4294967424 = 2^32 + 128 used to narrow silently to 128.
+  const std::string wrapped = config_error(R"({"rack": {"nodes_per_rack": 4294967424}})");
+  EXPECT_NE(wrapped.find("rack.nodes_per_rack"), std::string::npos) << wrapped;
+  EXPECT_NE(config_error(R"({"rack_count": 1e300})").find("rack_count"), std::string::npos);
+  EXPECT_NE(config_error(R"({"rack_count": 2.5})").find("rack_count"), std::string::npos);
+  EXPECT_NE(config_error(R"({"node": {"gpu_peak_w": "high"}})").find("node.gpu_peak_w"),
+            std::string::npos);
+  EXPECT_NE(config_error(R"({"cooling": {"cdu": 3}})").find("cooling.cdu"), std::string::npos);
+}
+
+TEST(ConfigJsonTest, PartitionNodeDefaultsFromTheTopLevelNode) {
+  const SystemConfig c = system_config_from_json(Json::parse(R"({
+    "cdu_count": 4, "racks_per_cdu": 3, "rack_count": 12,
+    "node": {"gpu_peak_w": 600},
+    "partitions": [{"name": "a", "node_count": 8},
+                   {"name": "b", "node_count": 8, "node": {"gpus_per_node": 0}}]})"));
+  ASSERT_EQ(c.partitions.size(), 2u);
+  EXPECT_EQ(c.partitions[0].node.gpu_peak_w, 600.0);
+  EXPECT_EQ(c.partitions[1].node.gpu_peak_w, 600.0);
+  EXPECT_EQ(c.partitions[1].node.gpus_per_node, 0);
+  EXPECT_NE(config_error(R"({"partitions": [{"name": "a"}]})").find("node_count"),
+            std::string::npos);
 }
 
 TEST(ConfigJsonTest, FileRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace exadigit {
@@ -71,6 +74,37 @@ TEST(JsonTypeTest, CheckedAccessorsThrowOnMismatch) {
 TEST(JsonTypeTest, IntAccessor) {
   EXPECT_EQ(Json::parse("42").as_int(), 42);
   EXPECT_EQ(Json::parse("-7").as_int(), -7);
+}
+
+TEST(JsonTypeTest, IntAccessorRejectsNumbersOutsideInt64) {
+  // Converting such a double to int64 is undefined; it must be an error.
+  EXPECT_THROW(Json::parse("1e300").as_int(), JsonTypeError);
+  EXPECT_THROW(Json::parse("-1e300").as_int(), JsonTypeError);
+  EXPECT_THROW(Json(9223372036854775808.0).as_int(), JsonTypeError);  // 2^63
+  EXPECT_THROW(Json(std::numeric_limits<double>::infinity()).as_int(), JsonTypeError);
+  EXPECT_EQ(Json(-9223372036854775808.0).as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json::parse("4294967424").as_int(), std::int64_t{4294967424});
+}
+
+TEST(JsonKeysTest, RejectUnknownKeysNamesKeyPathAndValidKeys) {
+  const Json obj = Json::parse(R"({"a": 1, "bb": 2})");
+  EXPECT_NO_THROW(reject_unknown_keys(obj, {"a", "bb", "c"}, "thing"));
+  try {
+    reject_unknown_keys(obj, {"a", "c"}, "config", "node");
+    FAIL() << "expected a ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"bb\""), std::string::npos) << what;
+    EXPECT_NE(what.find("node.bb"), std::string::npos) << what;
+    EXPECT_NE(what.find("valid keys: a, c"), std::string::npos) << what;
+  }
+  try {
+    reject_unknown_keys(obj, {}, "policy \"fcfs\" params");
+    FAIL() << "expected a ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("takes no params"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(reject_unknown_keys(Json(3.0), {"a"}, "thing"), ConfigError);
 }
 
 TEST(JsonTypeTest, DefaultedAccessors) {

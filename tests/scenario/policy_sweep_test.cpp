@@ -101,17 +101,19 @@ TEST(PolicySweepScenarioTest, SimulateScenarioAcceptsPolicyParams) {
   spec.type = "simulate";
   spec.seed = 5;
   spec.horizon_hours = 0.1;
-  Json params;
-  params["policy"] = Json(std::string("sjf"));
-  spec.params = params;
+  // The policy is a scheduler.policy config delta.
+  spec.config_delta["scheduler"]["policy"] = Json(std::string("sjf"));
   const ScenarioResult result = registry().run(spec);
   // Short horizon: jobs may not finish, but the run must execute and
   // report through the requested policy.
   EXPECT_TRUE(result.has_metric("jobs_completed"));
   EXPECT_GT(result.metric("total_energy_mwh"), 0.0);
 
-  params["policy"] = Json(std::string("nope"));
-  spec.params = params;
+  spec.config_delta["scheduler"]["policy"] = Json(std::string("nope"));
+  EXPECT_THROW(registry().run(spec), ConfigError);
+  // The removed simulate param is rejected, not ignored.
+  spec.config_delta = Json();
+  spec.params["policy"] = Json(std::string("sjf"));
   EXPECT_THROW(registry().run(spec), ConfigError);
 }
 

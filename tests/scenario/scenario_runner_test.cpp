@@ -181,6 +181,26 @@ TEST(ScenarioRunnerTest, FailedScenarioDoesNotSinkTheBatch) {
   EXPECT_GT(results[1].metric("extended_pue"), 1.0);
 }
 
+TEST(ScenarioRunnerTest, MisspeltConfigDeltaKeyFailsTheScenario) {
+  // A what-if delta with a misspelt key used to run the Frontier defaults
+  // to "done"; it must fail and name the key's full path.
+  const ScenarioBatch batch = ScenarioBatch::from_json(Json::parse(R"([
+    {"name": "typo", "type": "whatif_dc380", "horizon_hours": 0.25,
+     "config": {"node": {"gpu_peak_W": 9999}}},
+    {"name": "wrapped", "type": "whatif_dc380", "horizon_hours": 0.25,
+     "config": {"rack": {"nodes_per_rack": 4294967424}}},
+    {"name": "deleted", "type": "whatif_dc380", "horizon_hours": 0.25,
+     "config": {"node": {"gpu_peak_w": null}}}])"));
+  const auto results = ScenarioRunner().run(batch);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].status, ScenarioResult::Status::kFailed);
+  EXPECT_NE(results[0].error.find("node.gpu_peak_W"), std::string::npos) << results[0].error;
+  EXPECT_EQ(results[1].status, ScenarioResult::Status::kFailed);
+  EXPECT_NE(results[1].error.find("rack.nodes_per_rack"), std::string::npos) << results[1].error;
+  // Null still means delete: the key falls back to the Frontier default.
+  EXPECT_EQ(results[2].status, ScenarioResult::Status::kDone) << results[2].error;
+}
+
 TEST(ScenarioRunnerTest, NonStandardExceptionIsContained) {
   // User factories may throw anything; the pool must never std::terminate.
   ScenarioRegistry registry;
@@ -326,8 +346,9 @@ TEST(ScenarioRunnerTest, RunsBatchWithItsOwnSettings) {
   EXPECT_GE(results[1].metric("extended_htws_c"), results[0].metric("extended_htws_c"));
 }
 
-/// The "engine" param selects the legacy tick loop for A/B validation
-/// batches; both engines must produce bit-identical simulate results.
+/// A simulation.engine config delta selects the legacy tick loop for A/B
+/// validation batches; both engines must produce bit-identical simulate
+/// results.
 TEST(ScenarioRunnerTest, SimulateEngineParamTickMatchesEvent) {
   auto make_spec = [](const char* engine) {
     ScenarioSpec spec;
@@ -337,8 +358,8 @@ TEST(ScenarioRunnerTest, SimulateEngineParamTickMatchesEvent) {
     spec.seed = 11;
     Json params;
     params["cooling"] = false;
-    params["engine"] = Json(std::string(engine));
     spec.params = std::move(params);
+    spec.config_delta["simulation"]["engine"] = Json(std::string(engine));
     return spec;
   };
   const ScenarioResult event = ScenarioRegistry::instance().run(make_spec("event"));
@@ -351,8 +372,8 @@ TEST(ScenarioRunnerTest, SimulateEngineParamTickMatchesEvent) {
   EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("warp")), ConfigError);
 }
 
-/// The "hydraulics" param selects the always-solve reference for cooling
-/// A/B batches; both strategies must produce bit-identical simulate
+/// A cooling.hydraulics config delta selects the always-solve reference for
+/// cooling A/B batches; both strategies must produce bit-identical simulate
 /// results (the dedup reuse is keyed on exact operating-point equality).
 TEST(ScenarioRunnerTest, SimulateHydraulicsParamAlwaysSolveMatchesDedup) {
   auto make_spec = [](const char* hydraulics) {
@@ -361,9 +382,7 @@ TEST(ScenarioRunnerTest, SimulateHydraulicsParamAlwaysSolveMatchesDedup) {
     spec.type = "simulate";
     spec.horizon_hours = 0.25;
     spec.seed = 11;
-    Json params;
-    params["hydraulics"] = Json(std::string(hydraulics));
-    spec.params = std::move(params);
+    spec.config_delta["cooling"]["hydraulics"] = Json(std::string(hydraulics));
     return spec;
   };
   const ScenarioResult dedup = ScenarioRegistry::instance().run(make_spec("dedup"));
@@ -382,9 +401,9 @@ TEST(ScenarioRunnerTest, SimulateHydraulicsParamAlwaysSolveMatchesDedup) {
   EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("sometimes")), ConfigError);
 }
 
-/// The "thermal" param selects the HX-kernel variant for A/B batches; both
-/// variants must produce bit-identical simulate results (the batched
-/// kernel's same-operation-order lane math).
+/// A cooling.thermal config delta selects the HX-kernel variant for A/B
+/// batches; both variants must produce bit-identical simulate results (the
+/// batched kernel's same-operation-order lane math).
 TEST(ScenarioRunnerTest, SimulateThermalParamStaysBitIdentical) {
   auto make_spec = [](const char* thermal) {
     ScenarioSpec spec;
@@ -392,9 +411,7 @@ TEST(ScenarioRunnerTest, SimulateThermalParamStaysBitIdentical) {
     spec.type = "simulate";
     spec.horizon_hours = 0.25;
     spec.seed = 11;
-    Json params;
-    params["thermal"] = Json(std::string(thermal));
-    spec.params = std::move(params);
+    spec.config_delta["cooling"]["thermal"] = Json(std::string(thermal));
     return spec;
   };
   const ScenarioResult batched = ScenarioRegistry::instance().run(make_spec("batched"));
