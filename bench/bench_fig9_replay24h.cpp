@@ -11,7 +11,9 @@
 /// (fixed 1 s tick loop + full per-sample power rebuild, the seed's hot
 /// path). Note the legacy path still benefits from this PR's shared
 /// conversion-layer optimizations, so speedup_vs_legacy understates the
-/// end-to-end gain over the unoptimized seed.
+/// end-to-end gain over the unoptimized seed. The same record times the
+/// scheduling layer: each headline policy on a queue-bound synthetic burst
+/// (wall_ms_policy_<name>).
 ///
 /// EXADIGIT_BENCH_HOURS shrinks the replayed window for smoke runs;
 /// EXADIGIT_BENCH_REPS sets the repetitions per timed configuration (min
@@ -155,6 +157,11 @@ int main(int argc, char** argv) {
     const TimedRun legacy = time_power_replay(spec, dataset, EngineMode::kTickLoop,
                                               RapsEngine::PowerEval::kFullRecompute);
     const double sim_rate = fast.wall_ms > 0.0 ? duration / (fast.wall_ms / 1000.0) : 0.0;
+    // The cooled replay above ran once; the gate compares min-of-reps times.
+    double cooled_ms = r.wall_ms;
+    for (int rep = 1; rep < bench::bench_reps(); ++rep) {
+      cooled_ms = std::min(cooled_ms, replay_power(spec, dataset, /*with_cooling=*/true).wall_ms);
+    }
     Json out;
     out["bench"] = Json(std::string("replay24h"));
     out["hours"] = Json(hours);
@@ -162,7 +169,7 @@ int main(int argc, char** argv) {
     out["jobs"] = Json(static_cast<std::int64_t>(dataset.jobs.size()));
     out["jobs_completed"] = Json(fast.report.jobs_completed);
     out["wall_ms"] = Json(fast.wall_ms);
-    out["wall_ms_cooled"] = Json(r.wall_ms);
+    out["wall_ms_cooled"] = Json(cooled_ms);
     out["wall_ms_legacy"] = Json(legacy.wall_ms);
     out["sim_rate"] = Json(sim_rate);  // simulated seconds per wall second
     out["speedup_vs_legacy"] =
@@ -171,12 +178,13 @@ int main(int argc, char** argv) {
     out["avg_power_mw"] = Json(fast.report.avg_power_mw);
     out["engine"] = Json(std::string("event"));
 
-    // Scheduling-policy throughput columns: a queue-bound synthetic burst
-    // (replayed jobs carry fixed start times and bypass the queue, so the
-    // dataset above cannot exercise a policy) run under each headline
-    // policy; the column is completed jobs per wall-second of engine time.
-    // Gated > 0 by bench/check_bench.py — guards the policy layer's hot
-    // path staying functional and fast enough to schedule at all.
+    // Scheduling-policy columns: a queue-bound synthetic burst (replayed
+    // jobs carry fixed start times and bypass the queue, so the dataset
+    // above cannot exercise a policy) run under each headline policy.
+    // wall_ms_policy_<name> is the min-of-reps engine time, gated by
+    // bench/check_bench.py like every wall_ms* field; policy_jobs_per_s_<name>
+    // is completed jobs per wall-second of that time, gated > 0 (0 means the
+    // policy stalled the queue outright).
     {
       WorkloadConfig queued = spec.workload;
       queued.mean_arrival_s = 30.0;
@@ -192,17 +200,24 @@ int main(int argc, char** argv) {
           // Binds between Frontier idle (~7.2 MW) and peak (~28 MW).
           config.scheduler.policy_params["cap_mw"] = Json(26.0);
         }
-        RapsEngine engine(config);
-        const auto p0 = std::chrono::steady_clock::now();
-        engine.submit_all(qjobs);
-        engine.run_until(window_s);
-        const double wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - p0).count();
-        const double jobs_per_s =
-            wall_s > 0.0 ? static_cast<double>(engine.jobs_completed()) / wall_s : 0.0;
+        double wall_ms = 0.0;
+        int completed = 0;
+        for (int rep = 0; rep < bench::bench_reps(); ++rep) {
+          RapsEngine engine(config);
+          const auto p0 = std::chrono::steady_clock::now();
+          engine.submit_all(qjobs);
+          engine.run_until(window_s);
+          const double ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - p0)
+                                .count();
+          if (rep == 0 || ms < wall_ms) wall_ms = ms;
+          completed = engine.jobs_completed();
+        }
+        const double jobs_per_s = wall_ms > 0.0 ? completed / (wall_ms / 1000.0) : 0.0;
+        out[std::string("wall_ms_policy_") + policy] = Json(wall_ms);
         out[std::string("policy_jobs_per_s_") + policy] = Json(jobs_per_s);
-        std::printf("  %-14s %d jobs completed, %.0f jobs scheduled/s\n", policy,
-                    engine.jobs_completed(), jobs_per_s);
+        std::printf("  %-14s %d jobs completed in %.2f ms, %.0f jobs scheduled/s\n", policy,
+                    completed, wall_ms, jobs_per_s);
       }
     }
     if (!bench::write_perf_json(json_path, out)) return 1;

@@ -1,7 +1,6 @@
 #include "config/config_json.hpp"
 
 #include <array>
-#include <climits>
 #include <mutex>
 #include <set>
 #include <span>
@@ -86,11 +85,7 @@ Json encode(const S& s) {
 }
 
 void decode(const Json& j, double& v, const std::string&) { v = j.as_number(); }
-void decode(const Json& j, int& v, const std::string& path) {
-  const std::int64_t n = j.as_int();
-  require(n >= INT_MIN && n <= INT_MAX, path + " = " + std::to_string(n) + " is outside int");
-  v = static_cast<int>(n);
-}
+void decode(const Json& j, int& v, const std::string& path) { v = narrow_int(j.as_int(), path); }
 void decode(const Json& j, std::string& v, const std::string&) { v = j.as_string(); }
 void decode(const Json& j, PiecewiseLinearCurve& v, const std::string&) { v = curve_from_json(j); }
 void decode(const Json& j, Json& v, const std::string&) { v = j; }

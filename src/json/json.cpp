@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -505,6 +506,13 @@ void reject_unknown_keys(const Json& obj, const std::vector<std::string>& valid,
     }
     throw ConfigError(msg);
   }
+}
+
+int narrow_int(std::int64_t n, const std::string& path) {
+  if (n < INT_MIN || n > INT_MAX) {
+    throw ConfigError(path + " = " + std::to_string(n) + " is outside int");
+  }
+  return static_cast<int>(n);
 }
 
 void Json::save_file(const std::string& path, int indent) const {

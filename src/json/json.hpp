@@ -135,4 +135,10 @@ class Json {
 void reject_unknown_keys(const Json& obj, const std::vector<std::string>& valid,
                          const std::string& where, const std::string& path = "");
 
+/// `n`, an integer read from JSON, as an int. Throws ConfigError naming
+/// `path` when `n` is outside [INT_MIN, INT_MAX], where a bare static_cast
+/// would wrap it (4294967297 would run as 1). Config int fields, scenario
+/// params and the batch width all narrow through it.
+[[nodiscard]] int narrow_int(std::int64_t n, const std::string& path);
+
 }  // namespace exadigit

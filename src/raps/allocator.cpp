@@ -8,29 +8,23 @@
 namespace exadigit {
 
 NodeAllocator::NodeAllocator(const SystemConfig& config)
-    : total_nodes_(config.total_nodes()),
-      free_count_(config.total_nodes()),
+    : machine_{"", 0, config.total_nodes(), config.total_nodes()},
       free_words_((static_cast<std::size_t>(config.total_nodes()) + 63) / 64, 0),
       nodes_per_rack_(config.rack.nodes_per_rack) {
-  // All nodes start free; tail bits past total_nodes_ stay 0 (busy) so the
+  // All nodes start free; tail bits past the last node stay 0 (busy) so the
   // word scans never have to special-case the last word.
-  for (int i = 0; i < total_nodes_; ++i) set_bit(i);
+  for (int i = 0; i < machine_.end; ++i) set_bit(i);
   int cursor = 0;
   for (const auto& p : config.partitions) {
-    PartitionRange r;
-    r.name = p.name;
-    r.begin = cursor;
-    r.end = cursor + p.node_count;
-    require(r.end <= total_nodes_, "partition layout exceeds machine size");
-    partitions_.push_back(r);
-    cursor = r.end;
+    const int end = cursor + p.node_count;
+    require(end <= machine_.end, "partition layout exceeds machine size");
+    partitions_.push_back(Range{p.name, cursor, end, p.node_count});
+    cursor = end;
   }
 }
 
-NodeAllocator::PartitionRange NodeAllocator::range_for(const std::string& partition) const {
-  if (partition.empty()) {
-    return PartitionRange{"", 0, total_nodes_};
-  }
+const NodeAllocator::Range& NodeAllocator::range_for(const std::string& partition) const {
+  if (partition.empty()) return machine_;
   for (const auto& r : partitions_) {
     if (r.name == partition) return r;
   }
@@ -38,25 +32,25 @@ NodeAllocator::PartitionRange NodeAllocator::range_for(const std::string& partit
 }
 
 int NodeAllocator::free_nodes_in(const std::string& partition) const {
-  const PartitionRange r = range_for(partition);
-  int n = 0;
-  int i = r.begin;
-  while (i < r.end) {
-    const int bit = i & 63;
-    const int avail = std::min(64 - bit, r.end - i);
-    std::uint64_t w = free_words_[static_cast<std::size_t>(i) >> 6] >> bit;
-    if (avail < 64) w &= (std::uint64_t{1} << avail) - 1;
-    n += std::popcount(w);
-    i += avail;
+  return range_for(partition).free;
+}
+
+void NodeAllocator::count_free(const std::vector<int>& nodes, int delta) {
+  machine_.free += delta * static_cast<int>(nodes.size());
+  for (int n : nodes) {
+    // Partitions tile [0, last end) in order, so the first range ending
+    // past n holds it; none does for a node past the last partition.
+    const auto p = std::partition_point(partitions_.begin(), partitions_.end(),
+                                        [n](const Range& r) { return r.end <= n; });
+    if (p != partitions_.end()) p->free += delta;
   }
-  return n;
 }
 
 std::optional<std::vector<int>> NodeAllocator::allocate(int count,
                                                         const std::string& partition) {
   require(count > 0, "allocation count must be positive");
-  const PartitionRange range = range_for(partition);
-  if (count > range.end - range.begin) return std::nullopt;
+  const Range& range = range_for(partition);
+  if (count > range.free) return std::nullopt;
 
   // Pass 1: first-fit contiguous run, a word (64 nodes) at a time. The run
   // bookkeeping matches the original per-node scan exactly: the first index
@@ -92,7 +86,7 @@ std::optional<std::vector<int>> NodeAllocator::allocate(int count,
             nodes[static_cast<std::size_t>(k)] = run_start + k;
             clear_bit(run_start + k);
           }
-          free_count_ -= count;
+          count_free(nodes, -1);
           return nodes;
         }
         pos += ones;
@@ -103,8 +97,8 @@ std::optional<std::vector<int>> NodeAllocator::allocate(int count,
     i += avail;
   }
 
-  // Pass 2: scattered fill (ascending) if the partition has enough free
-  // nodes in total.
+  // Pass 2: scattered fill (ascending); the range holds at least `count`
+  // free nodes (checked above).
   std::vector<int> nodes;
   nodes.reserve(static_cast<std::size_t>(count));
   for (int i = range.begin; i < range.end && static_cast<int>(nodes.size()) < count;) {
@@ -120,33 +114,37 @@ std::optional<std::vector<int>> NodeAllocator::allocate(int count,
   }
   if (static_cast<int>(nodes.size()) < count) return std::nullopt;
   for (int n : nodes) clear_bit(n);
-  free_count_ -= count;
+  count_free(nodes, -1);
   return nodes;
 }
 
 void NodeAllocator::release(const std::vector<int>& nodes) {
-  for (int n : nodes) {
-    require(n >= 0 && n < total_nodes_, "release of out-of-range node");
-    if (test(n)) {
+  for (int n : nodes) require(n >= 0 && n < machine_.end, "release of out-of-range node");
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (test(nodes[i])) {
+      // Roll back, so a failed release changes nothing: every node before
+      // i was busy and has just been set (a repeat within the list is
+      // caught here too, as its first copy has just been set).
+      for (std::size_t k = 0; k < i; ++k) clear_bit(nodes[k]);
       // Message built only on failure: the old unconditional
       // string-concatenation argument dominated release() cost.
-      throw ConfigError("double release of node " + std::to_string(n));
+      throw ConfigError("double release of node " + std::to_string(nodes[i]));
     }
-    set_bit(n);
+    set_bit(nodes[i]);
   }
-  free_count_ += static_cast<int>(nodes.size());
+  count_free(nodes, +1);
 }
 
 bool NodeAllocator::is_free(int node) const {
-  require(node >= 0 && node < total_nodes_, "node index out of range");
+  require(node >= 0 && node < machine_.end, "node index out of range");
   return test(node);
 }
 
 std::vector<int> NodeAllocator::busy_per_rack() const {
-  std::vector<int> racks(static_cast<std::size_t>((total_nodes_ + nodes_per_rack_ - 1) /
+  std::vector<int> racks(static_cast<std::size_t>((machine_.end + nodes_per_rack_ - 1) /
                                                   nodes_per_rack_),
                          0);
-  for (int i = 0; i < total_nodes_; ++i) {
+  for (int i = 0; i < machine_.end; ++i) {
     if (!test(i)) {
       ++racks[static_cast<std::size_t>(i / nodes_per_rack_)];
     }

@@ -10,11 +10,15 @@
 /// machines (Section V) by restricting jobs to partition node ranges.
 ///
 /// The free map is kept as a packed 64-bit bitmap so the first-fit and
-/// scattered scans step a word (64 nodes) at a time — countr_zero/popcount
+/// scattered scans step a word (64 nodes) at a time — countr_zero/countr_one
 /// instead of a branch per node. Selection semantics are exactly the
 /// original bit-by-bit scans (first-fit contiguous run, then ascending
 /// scattered fill), so allocations — and everything downstream of them —
 /// are unchanged; tests/raps/allocator_test.cpp pins the equivalence.
+///
+/// Free counts are maintained per partition (and for the whole machine)
+/// by allocate and release, so free_nodes_in — called by every policy once
+/// per scanned queue entry — is O(1) and never rescans the bitmap.
 
 #include <cstdint>
 #include <optional>
@@ -31,9 +35,9 @@ class NodeAllocator {
   explicit NodeAllocator(const SystemConfig& config);
 
   /// Total nodes managed.
-  [[nodiscard]] int total_nodes() const { return total_nodes_; }
-  /// Currently free nodes (optionally within a partition).
-  [[nodiscard]] int free_nodes() const { return free_count_; }
+  [[nodiscard]] int total_nodes() const { return machine_.end; }
+  /// Currently free nodes (optionally within a partition), in O(1).
+  [[nodiscard]] int free_nodes() const { return machine_.free; }
   [[nodiscard]] int free_nodes_in(const std::string& partition) const;
 
   /// Attempts to allocate `count` nodes (contiguous run first, then
@@ -42,7 +46,9 @@ class NodeAllocator {
   [[nodiscard]] std::optional<std::vector<int>> allocate(int count,
                                                          const std::string& partition = {});
 
-  /// Releases previously allocated nodes; double-free throws.
+  /// Releases previously allocated nodes. An out-of-range node or a double
+  /// release (including a node listed twice) throws and leaves the
+  /// allocator unchanged.
   void release(const std::vector<int>& nodes);
 
   [[nodiscard]] bool is_free(int node) const;
@@ -51,19 +57,24 @@ class NodeAllocator {
   [[nodiscard]] std::vector<int> busy_per_rack() const;
 
  private:
-  struct PartitionRange {
+  /// A contiguous node range [begin, end) and how many of its nodes are free.
+  struct Range {
     std::string name;
     int begin = 0;
     int end = 0;  // exclusive
+    int free = 0;
   };
 
-  int total_nodes_;
-  int free_count_;
+  Range machine_;                          ///< the whole machine (partition "")
+  std::vector<Range> partitions_;          ///< contiguous from node 0, in config order
   std::vector<std::uint64_t> free_words_;  ///< bit set = node free
-  std::vector<PartitionRange> partitions_;
   int nodes_per_rack_;
 
-  [[nodiscard]] PartitionRange range_for(const std::string& partition) const;
+  /// `partition`'s range, or machine_ for ""; throws for an unknown name.
+  [[nodiscard]] const Range& range_for(const std::string& partition) const;
+  /// Adds `delta` to the free counters of the machine and of each node's
+  /// partition (nodes past the last partition belong to none).
+  void count_free(const std::vector<int>& nodes, int delta);
   [[nodiscard]] bool test(int node) const {
     return ((free_words_[static_cast<std::size_t>(node) >> 6] >> (node & 63)) & 1u) != 0;
   }

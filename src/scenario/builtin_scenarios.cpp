@@ -42,9 +42,9 @@ double param_number(const ScenarioSpec& spec, const std::string& key, double fal
 }
 
 int param_int(const ScenarioSpec& spec, const std::string& key, int fallback) {
-  return spec.params.is_object()
-             ? static_cast<int>(spec.params.int_or(key, fallback))
-             : fallback;
+  if (!spec.params.is_object()) return fallback;
+  return narrow_int(spec.params.int_or(key, fallback),
+                    "scenario \"" + spec.name + "\" (" + spec.type + ") params." + key);
 }
 
 /// The workload the legacy CLI paths drew: Rng(seed) over the horizon.

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -122,6 +125,107 @@ TEST(AllocatorTest, InvalidArguments) {
   EXPECT_THROW(alloc.is_free(-1), ConfigError);
   EXPECT_THROW(alloc.release({99999}), ConfigError);
 }
+
+/// Free nodes in [begin, end) counted one node at a time: the oracle for the
+/// allocator's O(1) free counters.
+int scan_free(const NodeAllocator& alloc, int begin, int end) {
+  int n = 0;
+  for (int i = begin; i < end; ++i) n += alloc.is_free(i) ? 1 : 0;
+  return n;
+}
+
+/// Asserts free_nodes() and every free_nodes_in(p) against the oracle.
+void expect_counts_match_scan(const NodeAllocator& alloc, const SystemConfig& config) {
+  EXPECT_EQ(alloc.free_nodes(), scan_free(alloc, 0, alloc.total_nodes()));
+  EXPECT_EQ(alloc.free_nodes_in(""), alloc.free_nodes());
+  int begin = 0;
+  for (const PartitionConfig& p : config.partitions) {
+    EXPECT_EQ(alloc.free_nodes_in(p.name), scan_free(alloc, begin, begin + p.node_count))
+        << "partition " << p.name;
+    begin += p.node_count;
+  }
+}
+
+/// Everything a caller can observe about free capacity.
+struct FreeState {
+  int free = 0;
+  std::vector<int> per_partition;
+  std::vector<bool> node_free;
+  bool operator==(const FreeState&) const = default;
+};
+
+FreeState free_state(const NodeAllocator& alloc, const SystemConfig& config) {
+  FreeState s;
+  s.free = alloc.free_nodes();
+  for (const PartitionConfig& p : config.partitions) {
+    s.per_partition.push_back(alloc.free_nodes_in(p.name));
+  }
+  for (int i = 0; i < alloc.total_nodes(); ++i) s.node_free.push_back(alloc.is_free(i));
+  return s;
+}
+
+TEST(AllocatorTest, FailedReleaseLeavesStateUnchanged) {
+  const SystemConfig config = setonix_like_config();
+  NodeAllocator alloc(config);
+  const std::vector<int> work = *alloc.allocate(10, "work");
+  const std::vector<int> gpu = *alloc.allocate(10, "gpu");
+  const int busy = gpu.front();
+  const int already_free = gpu.back() + 1;
+  ASSERT_TRUE(alloc.is_free(already_free));
+  const FreeState before = free_state(alloc, config);
+
+  EXPECT_THROW(alloc.release({busy, already_free}), ConfigError);
+  EXPECT_TRUE(free_state(alloc, config) == before);
+  EXPECT_THROW(alloc.release({busy, busy}), ConfigError);
+  EXPECT_TRUE(free_state(alloc, config) == before);
+  EXPECT_THROW(alloc.release({work.front(), busy, 99999}), ConfigError);
+  EXPECT_TRUE(free_state(alloc, config) == before);
+
+  alloc.release(gpu);  // the failed calls released nothing, so this succeeds
+  alloc.release(work);
+  EXPECT_EQ(alloc.free_nodes(), alloc.total_nodes());
+  expect_counts_match_scan(alloc, config);
+}
+
+/// Setonix-like partitions tile the machine; the second variant shrinks the
+/// last partition so the trailing nodes belong to no partition and only
+/// whole-machine requests can take them.
+SystemConfig partition_config(bool trailing_unassigned) {
+  SystemConfig c = setonix_like_config();
+  if (trailing_unassigned) c.partitions.back().node_count -= 112;
+  return c;
+}
+
+/// Property: under random named-partition and whole-machine allocate and
+/// release calls (whole-machine runs straddle partitions), every free
+/// counter equals a node-by-node count of its range after every step.
+class AllocatorCounterProperty : public ::testing::TestWithParam<std::tuple<bool, int>> {};
+
+TEST_P(AllocatorCounterProperty, CountersMatchScan) {
+  const SystemConfig config = partition_config(std::get<0>(GetParam()));
+  Rng rng(static_cast<std::uint64_t>(std::get<1>(GetParam())));
+  NodeAllocator alloc(config);
+  const std::vector<std::string> partitions = {"", "work", "gpu"};
+  std::vector<std::vector<int>> held;
+  for (int step = 0; step < 300; ++step) {
+    if (!held.empty() && rng.bernoulli(0.4)) {
+      const std::size_t i =
+          static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(held.size()) - 1));
+      alloc.release(held[i]);
+      held[i] = std::move(held.back());
+      held.pop_back();
+    } else {
+      const std::string& part = partitions[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      auto nodes = alloc.allocate(static_cast<int>(rng.uniform_int(1, 200)), part);
+      if (nodes.has_value()) held.push_back(std::move(*nodes));
+    }
+    expect_counts_match_scan(alloc, config);
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, AllocatorCounterProperty,
+                         ::testing::Combine(::testing::Bool(), ::testing::Range(1, 4)));
 
 /// Property: random allocate/release sequences conserve the free count and
 /// never hand out a busy node.

@@ -202,6 +202,36 @@ TEST(ScenarioSpecTest, UnknownParamsFieldThrows) {
   EXPECT_THROW((void)ScenarioRegistry::instance().run(rect), ConfigError);
 }
 
+/// Asserts that `fn` throws a ConfigError whose message contains `key`.
+template <class Fn>
+void expect_config_error_naming(Fn fn, const std::string& key) {
+  try {
+    fn();
+    FAIL() << "expected ConfigError naming " << key;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(ScenarioSpecTest, OutOfIntRangeParamThrowsInsteadOfWrapping) {
+  // 4294967297 = 2^32 + 1: narrowed with a bare cast it ran as days = 1.
+  ScenarioSpec sweep;
+  sweep.name = "sweep";
+  sweep.type = "day_sweep";
+  sweep.params = Json::parse(R"({"days": 4294967297, "cooling": false})");
+  expect_config_error_naming([&] { (void)ScenarioRegistry::instance().run(sweep); },
+                             "params.days");
+}
+
+TEST(ScenarioSpecTest, OutOfIntRangeBatchJobsThrowsInsteadOfWrapping) {
+  expect_config_error_naming(
+      [] {
+        (void)ScenarioBatch::from_json(
+            Json::parse(R"({"scenarios": [{"type": "simulate"}], "jobs": 4294967297})"));
+      },
+      "batch jobs");
+}
+
 TEST(ScenarioRegistryTest, RequireTypeValidatesWithoutRunning) {
   ScenarioRegistry::instance().require_type("simulate");  // no throw, no work
   EXPECT_THROW(ScenarioRegistry::instance().require_type("warp_drive"), ConfigError);
