@@ -4,15 +4,18 @@
 ///
 ///   fast    — the defaults: event-driven engine, incremental power model,
 ///             deduplicated/workspace-reused hydraulics (kDedup);
-///   ref     — same engine/power, HydraulicsEval::kAlwaysSolve with the
-///             original allocate-per-solve call pattern: isolates the
-///             hydraulics dedup, and cross-checks it bit-identically;
+///   ref     — same engine/power, the plant set to
+///             HydraulicsEval::kAlwaysSolve (every network re-solved every
+///             step): isolates the hydraulics dedup, and cross-checks it
+///             bit-identically;
 ///   legacy  — the preserved pre-overhaul configuration end to end: fixed
 ///             tick loop + full per-sample power recompute + always-solve
 ///             hydraulics (the seed's coupled hot path; like PR 3's
 ///             speedup_vs_legacy it still shares fixes that are inseparable
 ///             from the common code, e.g. the dropped redundant
-///             post-convergence evaluate, so it understates the true gain).
+///             post-convergence evaluate, so it understates the true gain),
+///             cross-checked against the fast run within 1e-9 (full
+///             recompute sums power in a different order).
 ///
 /// The coupled path is the paper's value proposition (what-if cooling
 /// studies and setpoint optimization at exascale); this bench records the
@@ -54,17 +57,16 @@ struct CoupledRun {
 };
 
 /// Coupled replay (RAPS + cooling FMU) under one full configuration.
-CoupledRun time_coupled_replay_once(const SystemConfig& base, const TelemetryDataset& dataset,
+CoupledRun time_coupled_replay_once(const SystemConfig& config, const TelemetryDataset& dataset,
                                     HydraulicsEval eval, EngineMode engine,
                                     RapsEngine::PowerEval power_eval) {
-  SystemConfig config = base;
-  config.cooling.hydraulics = eval;
-  config.simulation.engine = engine;
   DigitalTwinOptions options;
   options.enable_cooling = true;
   options.start_time_s = dataset.start_time_s;
   options.power_eval = power_eval;
+  options.engine = engine;
   DigitalTwin twin(config, options);
+  twin.cooling().plant().set_hydraulics_eval(eval);
   if (!dataset.wetbulb_c.empty()) twin.set_wetbulb_series(dataset.wetbulb_c);
   const auto t0 = std::chrono::steady_clock::now();
   twin.submit_all(dataset.jobs);
@@ -82,12 +84,12 @@ CoupledRun time_coupled_replay_once(const SystemConfig& base, const TelemetryDat
 /// Runs a configuration `reps` times and reports the minimum wall time.
 /// Every rep must reproduce the first rep's physics exactly (same process,
 /// same inputs): a mismatch means nondeterminism and aborts the bench.
-CoupledRun time_coupled_replay(const SystemConfig& base, const TelemetryDataset& dataset,
+CoupledRun time_coupled_replay(const SystemConfig& config, const TelemetryDataset& dataset,
                                HydraulicsEval eval, EngineMode engine,
                                RapsEngine::PowerEval power_eval, int reps) {
-  CoupledRun best = time_coupled_replay_once(base, dataset, eval, engine, power_eval);
+  CoupledRun best = time_coupled_replay_once(config, dataset, eval, engine, power_eval);
   for (int rep = 1; rep < reps; ++rep) {
-    const CoupledRun r = time_coupled_replay_once(base, dataset, eval, engine, power_eval);
+    const CoupledRun r = time_coupled_replay_once(config, dataset, eval, engine, power_eval);
     if (r.report.total_energy_mwh != best.report.total_energy_mwh ||
         r.pue_mean != best.pue_mean || r.plant_steps != best.plant_steps) {
       std::fprintf(stderr, "FAIL: repeat run diverged (rep %d)\n", rep);
@@ -179,9 +181,11 @@ int main(int argc, char** argv) {
              AsciiTable::num(legacy.pue_mean, 5)});
   std::printf("%s\n", t.render().c_str());
 
-  const double energy_rel = rel_diff(fast.report.total_energy_mwh,
-                                     ref.report.total_energy_mwh);
-  const double pue_rel = rel_diff(fast.pue_mean, ref.pue_mean);
+  const bool ref_identical = fast.report.total_energy_mwh == ref.report.total_energy_mwh &&
+                             fast.pue_mean == ref.pue_mean;
+  const double legacy_energy_rel =
+      rel_diff(fast.report.total_energy_mwh, legacy.report.total_energy_mwh);
+  const double legacy_pue_rel = rel_diff(fast.pue_mean, legacy.pue_mean);
   std::printf("coupled replay: %.0f ms fast vs %.0f ms always-solve (%.1fx) vs %.0f ms "
               "legacy (%.1fx); %.0f sim-s/wall-s\n",
               fast.wall_ms, ref.wall_ms, speedup_ref, legacy.wall_ms, speedup_legacy,
@@ -189,11 +193,15 @@ int main(int argc, char** argv) {
   std::printf("dedup reuse: %lld of %lld solves reused (%.0f %%)\n",
               fast.stats.solves_reused(), total,
               total > 0 ? 100.0 * fast.stats.solves_reused() / total : 0.0);
-  std::printf("cross-check vs reference: energy rel diff %.2e, PUE rel diff %.2e "
-              "(tests assert <= 1e-12 per-field)\n",
-              energy_rel, pue_rel);
-  if (energy_rel > 1e-12 || pue_rel > 1e-12) {
+  std::printf("cross-check: always-solve energy and PUE %s; legacy energy rel diff %.2e, "
+              "PUE rel diff %.2e (must be <= 1e-9)\n",
+              ref_identical ? "bit-identical" : "DIFFER", legacy_energy_rel, legacy_pue_rel);
+  if (!ref_identical) {
     std::fprintf(stderr, "FAIL: dedup diverged from always-solve reference\n");
+    return 1;
+  }
+  if (legacy_energy_rel > 1e-9 || legacy_pue_rel > 1e-9) {
+    std::fprintf(stderr, "FAIL: fast run diverged from the legacy configuration\n");
     return 1;
   }
 

@@ -43,14 +43,13 @@ struct TimedRun {
 };
 
 /// Power-side replay (no cooling) under an explicit engine configuration.
-TimedRun time_power_replay_once(const SystemConfig& base, const TelemetryDataset& dataset,
+TimedRun time_power_replay_once(const SystemConfig& config, const TelemetryDataset& dataset,
                                 EngineMode mode, RapsEngine::PowerEval eval) {
-  SystemConfig config = base;
-  config.simulation.engine = mode;
   RapsEngine::Options options;
   options.start_time_s = dataset.start_time_s;
   options.collect_series = true;
   options.power_eval = eval;
+  options.engine = mode;
   RapsEngine engine(config, options);
   const auto t0 = std::chrono::steady_clock::now();
   engine.submit_all(dataset.jobs);
@@ -63,11 +62,11 @@ TimedRun time_power_replay_once(const SystemConfig& base, const TelemetryDataset
 }
 
 /// Minimum wall time over EXADIGIT_BENCH_REPS repetitions (perf_json.hpp).
-TimedRun time_power_replay(const SystemConfig& base, const TelemetryDataset& dataset,
+TimedRun time_power_replay(const SystemConfig& config, const TelemetryDataset& dataset,
                            EngineMode mode, RapsEngine::PowerEval eval) {
-  TimedRun best = time_power_replay_once(base, dataset, mode, eval);
+  TimedRun best = time_power_replay_once(config, dataset, mode, eval);
   for (int rep = 1; rep < bench::bench_reps(); ++rep) {
-    const TimedRun r = time_power_replay_once(base, dataset, mode, eval);
+    const TimedRun r = time_power_replay_once(config, dataset, mode, eval);
     if (r.wall_ms < best.wall_ms) best.wall_ms = r.wall_ms;
   }
   return best;

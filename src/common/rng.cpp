@@ -55,8 +55,12 @@ double Rng::exponential(double mean) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  require(stddev >= 0.0, "normal requires stddev >= 0");  // NaN fails too
+  // A zero sigma returns `mean` but still draws (with a valid stddev), so
+  // the stream advances exactly as it does for any sigma > 0.
+  std::normal_distribution<double> dist(mean, stddev > 0.0 ? stddev : 1.0);
+  const double x = dist(engine_);
+  return stddev > 0.0 ? x : mean;
 }
 
 double Rng::truncated_normal(double mean, double stddev, double lo, double hi) {

@@ -37,7 +37,8 @@ class Rng {
   /// paper's Eq. (5): tau = -ln(1 - U)/lambda.
   double exponential(double mean);
 
-  /// Normal draw.
+  /// Normal draw; `stddev` must be >= 0. A zero stddev returns `mean` and
+  /// consumes the same engine draws as a positive one.
   double normal(double mean, double stddev);
 
   /// Normal draw clamped (by re-sampling, capped attempts) into [lo, hi].

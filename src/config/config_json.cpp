@@ -54,15 +54,6 @@ constexpr Names<LoadSharingPolicy> names_of(LoadSharingPolicy) {
 constexpr Names<PowerFeed> names_of(PowerFeed) {
   return {{{PowerFeed::kAC, "ac"}, {PowerFeed::kDC380, "dc380"}}};
 }
-constexpr Names<HydraulicsEval> names_of(HydraulicsEval) {
-  return {{{HydraulicsEval::kDedup, "dedup"}, {HydraulicsEval::kAlwaysSolve, "always_solve"}}};
-}
-constexpr Names<ThermalEval> names_of(ThermalEval) {
-  return {{{ThermalEval::kBatched, "batched"}, {ThermalEval::kScalar, "scalar"}}};
-}
-constexpr Names<EngineMode> names_of(EngineMode) {
-  return {{{EngineMode::kEventDriven, "event"}, {EngineMode::kTickLoop, "tick"}}};
-}
 
 Json encode(double v) { return Json(v); }
 Json encode(int v) { return Json(v); }
@@ -154,8 +145,7 @@ TABLE(CtLoopConfig, FIELD(pump_count), FIELD(pump), FIELD(volume_m3), FIELD(desi
       FIELD(stage_min_interval_s), FIELD(ct_stage_temp_band_k), FIELD(ct_stage_min_interval_s),
       FIELD(tower))
 TABLE(CoolingConfig, FIELD(cdu), FIELD(primary), FIELD(ct), FIELD(cooling_efficiency),
-      FIELD(staging_delay_s), FIELD(step_s), FIELD(thermal_substep_s), FIELD(hydraulics),
-      FIELD(thermal))
+      FIELD(staging_delay_s), FIELD(step_s), FIELD(thermal_substep_s))
 TABLE(NodeConfig, FIELD(cpus_per_node), FIELD(gpus_per_node), FIELD(nics_per_node),
       FIELD(nvme_per_node), FIELD(cpu_idle_w), FIELD(cpu_peak_w), FIELD(gpu_idle_w),
       FIELD(gpu_peak_w), FIELD(ram_avg_w), FIELD(nic_w), FIELD(nvme_w))
@@ -177,8 +167,7 @@ TABLE(WorkloadConfig, FIELD(mean_arrival_s), FIELD(mean_nodes), FIELD(std_nodes)
       FIELD(mean_walltime_s), FIELD(std_walltime_s), FIELD(mean_cpu_util), FIELD(std_cpu_util),
       FIELD(mean_gpu_util), FIELD(std_gpu_util))
 TABLE(EconomicsConfig, FIELD(electricity_usd_per_kwh), FIELD(emission_lbs_per_mwh))
-TABLE(SimulationConfig, FIELD(tick_s), FIELD(cooling_quantum_s), FIELD(trace_quantum_s),
-      FIELD(engine))
+TABLE(SimulationConfig, FIELD(tick_s), FIELD(cooling_quantum_s), FIELD(trace_quantum_s))
 TABLE(PartitionConfig, FIELD(name), FIELD(node_count), FIELD(node))
 TABLE(SystemConfig, FIELD(name), FIELD(cdu_count), FIELD(racks_per_cdu), FIELD(rack_count),
       FIELD(node), FIELD(rack), FIELD(power), FIELD(scheduler), FIELD(workload),

@@ -208,33 +208,6 @@ struct CtLoopConfig {
   double ct_stage_min_interval_s = 600.0;
 };
 
-/// How CoolingPlantModel::step evaluates the per-step hydraulic solves
-/// (see cooling/plant.hpp for the dedup semantics).
-enum class HydraulicsEval {
-  /// Skip a network's re-solve when its exact parameter key is unchanged
-  /// since the last solve, and share one solution among identical-topology
-  /// CDU loops at the same operating point. Default; bit-identical to
-  /// kAlwaysSolve because reuse is keyed on exact (parameter, warm-start)
-  /// equality, never on tolerances.
-  kDedup,
-  /// Reference path: every network re-solved every step. Kept selectable
-  /// for cross-validation and for benchmarking the dedup speedup.
-  kAlwaysSolve,
-};
-
-/// How CoolingPlantModel::integrate_thermal evaluates the per-substep
-/// counterflow-HX effectiveness kernels (see cooling/heat_exchanger.hpp).
-enum class ThermalEval {
-  /// Gather the per-CDU HX inputs into contiguous arrays and evaluate the
-  /// NTU/exp math through the batched kernel. Default; bit-identical to
-  /// kScalar because the batch kernel runs the exact scalar element math
-  /// in the same order (tests/cooling/plant_parallel_test.cpp asserts it).
-  kBatched,
-  /// Reference path: one evaluate_counterflow_hx call per CDU inside the
-  /// substep loop, the original PR 4 structure.
-  kScalar,
-};
-
 /// Whole cooling plant (paper Fig. 5) + coupling constants.
 struct CoolingConfig {
   CduLoopConfig cdu;
@@ -250,21 +223,6 @@ struct CoolingConfig {
   double step_s = 15.0;
   /// Internal thermal substep for the finite-volume integrator.
   double thermal_substep_s = 3.0;
-  /// Hydraulic-solve evaluation strategy (dedup fast path vs. reference).
-  HydraulicsEval hydraulics = HydraulicsEval::kDedup;
-  /// Thermal HX kernel evaluation strategy (batched fast path vs. reference).
-  ThermalEval thermal = ThermalEval::kBatched;
-};
-
-/// How RapsEngine advances simulated time (see raps/engine.hpp).
-enum class EngineMode {
-  /// Jump directly between events (arrivals, completions, cooling-quantum
-  /// and trace-quantum boundaries) quantized to the tick grid. Default;
-  /// bit-identical to the tick loop and ~an order of magnitude faster.
-  kEventDriven,
-  /// Legacy fixed-step loop ticking every tick_s. Kept as the validation
-  /// reference the event-driven core is asserted against.
-  kTickLoop,
 };
 
 /// Simulation clocking (paper Algorithm 1).
@@ -272,7 +230,6 @@ struct SimulationConfig {
   double tick_s = 1.0;            ///< scheduler/power tick (event-time grid)
   double cooling_quantum_s = 15.0;  ///< FMU call cadence
   double trace_quantum_s = 15.0;    ///< CPU/GPU utilization trace resolution
-  EngineMode engine = EngineMode::kEventDriven;
 };
 
 /// Complete machine + plant descriptor.

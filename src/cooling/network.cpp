@@ -119,34 +119,25 @@ void FlowNetwork::branch_flow(const Branch& b, double dp, double& q, double& dq_
 }
 
 NetworkSolution FlowNetwork::solve(double flow_scale_m3s) const {
-  // Fresh workspace per call: this is the original per-solve allocation
-  // pattern, preserved so the always-solve reference path benchmarks the
-  // cost the workspace-reusing fast path removed.
-  SolveWorkspace ws;
   NetworkSolution sol;
-  solve_with(ws, flow_scale_m3s, sol);
+  solve_into(sol, flow_scale_m3s);
   return sol;
 }
 
 // exadigit-hot-begin(network-solve)
 void FlowNetwork::solve_into(NetworkSolution& out, double flow_scale_m3s) const {
-  solve_with(ws_, flow_scale_m3s, out);
-}
-
-void FlowNetwork::solve_with(SolveWorkspace& ws, double flow_scale_m3s,
-                             NetworkSolution& out) const {
   // A warm start from the previous operating point almost always converges
   // in a few iterations; after a large parameter change (staging events)
   // it can start Newton in a bad basin, so fall back to a cold start.
   if (warm_pressures_.size() == node_count()) {
     try {
-      solve_impl(ws, flow_scale_m3s, /*use_warm_start=*/true, out);
+      solve_impl(flow_scale_m3s, /*use_warm_start=*/true, out);
       return;
     } catch (const SolverError&) {
       EXADIGIT_DEBUG << "network '" << label_ << "': warm start failed, retrying cold";
     }
   }
-  solve_impl(ws, flow_scale_m3s, /*use_warm_start=*/false, out);
+  solve_impl(flow_scale_m3s, /*use_warm_start=*/false, out);
 }
 
 void FlowNetwork::set_kind(BranchId id, BranchKind kind) { write(branches_.at(id).kind, kind); }
@@ -191,14 +182,14 @@ void FlowNetwork::adopt_solution(const NetworkSolution& sol) {
   warm_pressures_.assign(sol.node_pressure_pa.begin(), sol.node_pressure_pa.end());
 }
 
-void FlowNetwork::solve_impl(SolveWorkspace& ws, double flow_scale_m3s,
-                             bool use_warm_start, NetworkSolution& out) const {
+void FlowNetwork::solve_impl(double flow_scale_m3s, bool use_warm_start,
+                             NetworkSolution& out) const {
   const std::size_t n_nodes = node_count();
   require(n_nodes >= 2, "network requires at least two nodes");
   require(!branches_.empty(), "network requires at least one branch");
   const std::size_t n_unknown = n_nodes - 1;  // node 0 is the reference
 
-  std::vector<double>& pressure = ws.pressure;
+  std::vector<double>& pressure = ws_.pressure;
   if (use_warm_start && warm_pressures_.size() == n_nodes) {
     pressure.assign(warm_pressures_.begin(), warm_pressures_.end());
   } else {
@@ -207,9 +198,9 @@ void FlowNetwork::solve_impl(SolveWorkspace& ws, double flow_scale_m3s,
   pressure[0] = 0.0;
 
   const double tol = std::max(flow_scale_m3s, 1e-3) * 1e-6;
-  std::vector<double>& residual = ws.residual;
-  std::vector<double>& jac = ws.jac;
-  std::vector<double>& flows = ws.flows;
+  std::vector<double>& residual = ws_.residual;
+  std::vector<double>& jac = ws_.jac;
+  std::vector<double>& flows = ws_.flows;
   residual.resize(n_unknown);
   jac.resize(n_unknown * n_unknown);
   flows.resize(branches_.size());
@@ -257,8 +248,8 @@ void FlowNetwork::solve_impl(SolveWorkspace& ws, double flow_scale_m3s,
   int iter = 0;
   evaluate(pressure, residual, nullptr);
   double res_norm = max_abs(residual);
-  std::vector<double>& delta = ws.delta;
-  std::vector<double>& trial = ws.trial;
+  std::vector<double>& delta = ws_.delta;
+  std::vector<double>& trial = ws_.trial;
   delta.resize(n_unknown);
   trial.resize(n_nodes);
 

@@ -118,17 +118,15 @@ class FlowNetwork {
   [[nodiscard]] bool same_shape(const FlowNetwork& other, BranchId free_speed) const;
 
   /// Solves mass conservation; throws SolverError when Newton fails.
-  /// `flow_scale_m3s` sets the convergence tolerance (1e-6 of it).
-  /// Allocates a fresh solution and solver workspace on every call — the
-  /// original cost structure, which the HydraulicsEval::kAlwaysSolve
-  /// reference path deliberately keeps for benchmarking; hot paths use
-  /// solve_into instead. Results are bit-identical between the two.
+  /// `flow_scale_m3s` sets the convergence tolerance (1e-6 of it). Returns
+  /// the solution by value: a wrapper over solve_into for callers off the
+  /// hot path.
   [[nodiscard]] NetworkSolution solve(double flow_scale_m3s = 0.1) const;
 
-  /// Allocation-free variant of solve(): writes the converged state into
-  /// `out`, reusing its vectors and the network's persistent solver
-  /// workspace. Identical arithmetic to solve(); after the first call with
-  /// a given `out` the steady-state inner loop performs no heap allocation.
+  /// solve() writing the converged state into `out`, reusing its vectors
+  /// and the network's persistent solver workspace: after the first call
+  /// with a given `out` the steady-state inner loop performs no heap
+  /// allocation.
   void solve_into(NetworkSolution& out, double flow_scale_m3s = 0.1) const;
 
   /// Warm-start state: the previously converged nodal pressures (empty
@@ -181,9 +179,7 @@ class FlowNetwork {
     }
   }
 
-  void solve_with(SolveWorkspace& ws, double flow_scale_m3s, NetworkSolution& out) const;
-  void solve_impl(SolveWorkspace& ws, double flow_scale_m3s, bool use_warm_start,
-                  NetworkSolution& out) const;
+  void solve_impl(double flow_scale_m3s, bool use_warm_start, NetworkSolution& out) const;
 
   /// Flow and dQ/d(dp) for a branch at pressure drop `dp = P_from - P_to`.
   void branch_flow(const Branch& b, double dp, double& q, double& dq_ddp) const;

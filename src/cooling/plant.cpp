@@ -106,8 +106,6 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
           /*initial_units=*/8),
       ehx_stage_lag_(config.cooling.staging_delay_s, 2.0) {
   config_.validate();
-  hydraulics_eval_ = config_.cooling.hydraulics;
-  thermal_eval_ = config_.cooling.thermal;
   ct_supply_setpoint_c_ = config_.cooling.primary.htws_setpoint_c - 4.0;
   build_networks();
   reset();
@@ -407,13 +405,7 @@ void CoolingPlantModel::solve_hydraulics() {
   // starts.
   for (const std::size_t i : solve_list_) {
     auto& loop = cdu_loops_[i];
-    if (dedup) {
-      loop.net.solve_into(loop.last_solution, sec_scale);
-    } else {
-      // Reference path: the original allocate-per-solve call, preserved so
-      // benchmarks can measure the cost the fast path removed.
-      loop.last_solution = loop.net.solve(sec_scale);
-    }
+    loop.net.solve_into(loop.last_solution, sec_scale);
   }
 
   // Phase C (apply, ascending loop order): donor copies, warm-state
@@ -443,11 +435,7 @@ void CoolingPlantModel::solve_hydraulics() {
   if (dedup && pri_has_solution_ && !pri_changed) {
     ++hydraulics_stats_.reused_unchanged;
   } else {
-    if (dedup) {
-      pri_net_.solve_into(pri_solution_, config_.cooling.primary.design_flow_m3s);
-    } else {
-      pri_solution_ = pri_net_.solve(config_.cooling.primary.design_flow_m3s);
-    }
+    pri_net_.solve_into(pri_solution_, config_.cooling.primary.design_flow_m3s);
     ++hydraulics_stats_.solves_performed;
     pri_has_solution_ = true;
   }
@@ -456,11 +444,7 @@ void CoolingPlantModel::solve_hydraulics() {
   if (dedup && ct_has_solution_ && !ct_changed) {
     ++hydraulics_stats_.reused_unchanged;
   } else {
-    if (dedup) {
-      ct_net_.solve_into(ct_solution_, config_.cooling.ct.design_flow_m3s);
-    } else {
-      ct_solution_ = ct_net_.solve(config_.cooling.ct.design_flow_m3s);
-    }
+    ct_net_.solve_into(ct_solution_, config_.cooling.ct.design_flow_m3s);
     ++hydraulics_stats_.solves_performed;
     ct_has_solution_ = true;
   }
@@ -476,28 +460,23 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
   const double q_pri_total = pri_net_.flow(pri_solution_, pri_pump_branch_);
   const double q_ct = ct_net_.flow(ct_solution_, ct_pump_branch_);
   const std::size_t n = cdu_loops_.size();
-  const bool batched = thermal_eval_ == ThermalEval::kBatched;
 
-  if (batched) {
-    // Gather the substep-invariant per-CDU inputs once: the loop and
-    // primary-branch flows come from this step's (fixed) hydraulic
-    // solutions and the heat loads from `inputs`, none of which change
-    // across substeps. The scalar reference path re-reads them per substep;
-    // the values are the same doubles either way.
-    th_q_sec_.resize(n);
-    th_q_branch_.resize(n);
-    th_heat_.resize(n);
-    th_hot_in_.resize(n);
-    th_rho_cp_.resize(n);
-    th_c_sec_.resize(n);
-    th_c_pri_.resize(n);
-    th_hx_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& loop = cdu_loops_[i];
-      th_q_sec_[i] = loop.net.flow(loop.last_solution, loop.pump);
-      th_q_branch_[i] = pri_net_.flow(pri_solution_, pri_cdu_branches_[i]);
-      th_heat_[i] = inputs.cdu_heat_w.at(i);
-    }
+  // Gather the substep-invariant per-CDU inputs once: the loop and
+  // primary-branch flows come from this step's (fixed) hydraulic solutions
+  // and the heat loads from `inputs`, none of which change across substeps.
+  th_q_sec_.resize(n);
+  th_q_branch_.resize(n);
+  th_heat_.resize(n);
+  th_hot_in_.resize(n);
+  th_rho_cp_.resize(n);
+  th_c_sec_.resize(n);
+  th_c_pri_.resize(n);
+  th_hx_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& loop = cdu_loops_[i];
+    th_q_sec_[i] = loop.net.flow(loop.last_solution, loop.pump);
+    th_q_branch_[i] = pri_net_.flow(pri_solution_, pri_cdu_branches_[i]);
+    th_heat_[i] = inputs.cdu_heat_w.at(i);
   }
 
   for (int s = 0; s < substeps; ++s) {
@@ -509,69 +488,41 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
     const double rho_cp_pri_supply = coolant_rho_cp(Coolant::kWater, t_pri_supply_c_);
     double mix_accum = 0.0;
     double mix_flow = 0.0;
-    if (batched) {
-      // Batched fast path: pack this substep's HX inputs, evaluate all 25
-      // HX units through the contiguous-array kernel, then apply the same
-      // per-loop update expressions in the same ascending order as the
-      // scalar path (bit-identical; see heat_exchanger.hpp).
-      for (std::size_t i = 0; i < n; ++i) {
-        auto& loop = cdu_loops_[i];
-        const double rho_cp = coolant_rho_cp(Coolant::kWater, loop.t_return_c);
-        th_hot_in_[i] = loop.t_return_c;
-        th_rho_cp_[i] = rho_cp;
-        th_c_sec_[i] = rho_cp * th_q_sec_[i];
-        th_c_pri_[i] = rho_cp_pri_supply * th_q_branch_[i];
-      }
-      thermal_stats_.hx_evaluated += static_cast<long long>(n);
-      evaluate_counterflow_hx_batch(n, cool.cdu.hex.ua_w_per_k, th_hot_in_.data(),
-                                    th_c_sec_.data(), t_pri_supply_c_, th_c_pri_.data(),
-                                    th_hx_.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        auto& loop = cdu_loops_[i];
-        const HxResult& hx = th_hx_[i];
-        const double q_sec = th_q_sec_[i];
-        const double q_branch = th_q_branch_[i];
-        const double half_vol = 0.5 * cool.cdu.secondary_volume_m3;
-        const double d_supply = q_sec / half_vol * (hx.hot_out_c - loop.t_supply_c);
-        const double d_return = q_sec / half_vol * (loop.t_supply_c - loop.t_return_c) +
-                                th_heat_[i] / (th_rho_cp_[i] * half_vol);
-        loop.t_supply_c += h * d_supply;
-        loop.t_return_c += h * d_return;
-        mix_accum += q_branch * hx.cold_out_c;
-        mix_flow += q_branch;
-        if (s == substeps - 1) {
-          auto& out = outputs_.cdus[i];
-          out.hex_duty_w = hx.duty_w;
-          out.pri_return_t_c = hx.cold_out_c;
-        }
-      }
-    } else {
-      // Scalar reference path: the original PR 4 per-loop structure.
-      for (std::size_t i = 0; i < n; ++i) {
-        auto& loop = cdu_loops_[i];
-        const double q_sec = loop.net.flow(loop.last_solution, loop.pump);
-        const double q_branch = pri_net_.flow(pri_solution_, pri_cdu_branches_[i]);
-        const double rho_cp = coolant_rho_cp(Coolant::kWater, loop.t_return_c);
-        const double c_sec = rho_cp * q_sec;
-        const double c_pri = rho_cp_pri_supply * q_branch;
-        const HxResult hx = evaluate_counterflow_hx(cool.cdu.hex.ua_w_per_k, loop.t_return_c,
-                                                    c_sec, t_pri_supply_c_, c_pri);
-        const double heat = inputs.cdu_heat_w.at(i);
-        const double half_vol = 0.5 * cool.cdu.secondary_volume_m3;
-        // Supply volume: fed by the HEX hot-side outlet.
-        const double d_supply = q_sec / half_vol * (hx.hot_out_c - loop.t_supply_c);
-        // Return volume: fed by the supply volume plus the rack heat load.
-        const double d_return = q_sec / half_vol * (loop.t_supply_c - loop.t_return_c) +
-                                heat / (rho_cp * half_vol);
-        loop.t_supply_c += h * d_supply;
-        loop.t_return_c += h * d_return;
-        mix_accum += q_branch * hx.cold_out_c;
-        mix_flow += q_branch;
-        if (s == substeps - 1) {
-          auto& out = outputs_.cdus[i];
-          out.hex_duty_w = hx.duty_w;
-          out.pri_return_t_c = hx.cold_out_c;
-        }
+    // Pack this substep's HX inputs, evaluate every CDU's HX through the
+    // contiguous-array kernel (bit-identical to evaluate_counterflow_hx per
+    // element; see heat_exchanger.hpp), then update the loops in ascending
+    // order.
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& loop = cdu_loops_[i];
+      const double rho_cp = coolant_rho_cp(Coolant::kWater, loop.t_return_c);
+      th_hot_in_[i] = loop.t_return_c;
+      th_rho_cp_[i] = rho_cp;
+      th_c_sec_[i] = rho_cp * th_q_sec_[i];
+      th_c_pri_[i] = rho_cp_pri_supply * th_q_branch_[i];
+    }
+    thermal_stats_.hx_evaluated += static_cast<long long>(n);
+    evaluate_counterflow_hx_batch(n, cool.cdu.hex.ua_w_per_k, th_hot_in_.data(),
+                                  th_c_sec_.data(), t_pri_supply_c_, th_c_pri_.data(),
+                                  th_hx_.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& loop = cdu_loops_[i];
+      const HxResult& hx = th_hx_[i];
+      const double q_sec = th_q_sec_[i];
+      const double q_branch = th_q_branch_[i];
+      const double half_vol = 0.5 * cool.cdu.secondary_volume_m3;
+      // Supply volume: fed by the HEX hot-side outlet.
+      const double d_supply = q_sec / half_vol * (hx.hot_out_c - loop.t_supply_c);
+      // Return volume: fed by the supply volume plus the rack heat load.
+      const double d_return = q_sec / half_vol * (loop.t_supply_c - loop.t_return_c) +
+                              th_heat_[i] / (th_rho_cp_[i] * half_vol);
+      loop.t_supply_c += h * d_supply;
+      loop.t_return_c += h * d_return;
+      mix_accum += q_branch * hx.cold_out_c;
+      mix_flow += q_branch;
+      if (s == substeps - 1) {
+        auto& out = outputs_.cdus[i];
+        out.hex_duty_w = hx.duty_w;
+        out.pri_return_t_c = hx.cold_out_c;
       }
     }
     const double t_mix = mix_flow > 1e-9 ? mix_accum / mix_flow : t_pri_return_c_;

@@ -35,7 +35,8 @@
 ///     same-rack-count CDU loops track each other bit-for-bit, collapsing
 ///     25 secondary solves to 2 per step.
 /// Both reuses compare exactly (never within a tolerance), so kDedup is
-/// bit-identical to the HydraulicsEval::kAlwaysSolve reference path —
+/// bit-identical to the HydraulicsEval::kAlwaysSolve reference, which tests
+/// and benches select through set_hydraulics_eval —
 /// tests/cooling/plant_dedup_test.cpp asserts this across staging,
 /// blockage, and forced-pump churn.
 ///
@@ -59,6 +60,16 @@
 #include "cooling/pump.hpp"
 
 namespace exadigit {
+
+/// How CoolingPlantModel::step evaluates the per-step hydraulic solves (see
+/// the dedup semantics above).
+enum class HydraulicsEval {
+  /// Skip unchanged networks and share solutions among identical CDU loops.
+  /// Default; bit-identical to kAlwaysSolve.
+  kDedup,
+  /// Validation reference: every network re-solved every step.
+  kAlwaysSolve,
+};
 
 /// Per-step boundary conditions supplied by RAPS / telemetry.
 struct CoolingInputs {
@@ -124,8 +135,7 @@ class CoolingPlantModel {
     }
   };
 
-  /// CDU heat-exchanger kernel accounting since the last reset()
-  /// (batched thermal path only; the scalar reference path leaves it 0).
+  /// CDU heat-exchanger kernel accounting since the last reset().
   struct ThermalStats {
     long long hx_evaluated = 0;  ///< elements run through the batch kernel
   };
@@ -160,17 +170,11 @@ class CoolingPlantModel {
   void set_basin_setpoint_offset(double offset_k);
   [[nodiscard]] double basin_setpoint_c() const { return ct_supply_setpoint_c_; }
 
-  /// Hydraulic evaluation strategy; seeded from CoolingConfig::hydraulics
-  /// (see the dedup semantics in the file header). Switching modes mid-run
-  /// is allowed and stays exact — both modes take the change flags.
+  /// Hydraulic evaluation strategy; a new plant starts in kDedup (see the
+  /// dedup semantics in the file header). Switching modes mid-run is
+  /// allowed and stays exact — both modes take the change flags.
   void set_hydraulics_eval(HydraulicsEval eval) { hydraulics_eval_ = eval; }
   [[nodiscard]] HydraulicsEval hydraulics_eval() const { return hydraulics_eval_; }
-
-  /// Thermal HX kernel strategy; seeded from CoolingConfig::thermal.
-  /// Batched and scalar are bit-identical (see heat_exchanger.hpp), so
-  /// switching mid-run is allowed.
-  void set_thermal_eval(ThermalEval eval) { thermal_eval_ = eval; }
-  [[nodiscard]] ThermalEval thermal_eval() const { return thermal_eval_; }
 
   /// Solve/reuse counters since the last reset().
   [[nodiscard]] const HydraulicsStats& hydraulics_stats() const {
@@ -259,8 +263,7 @@ class CoolingPlantModel {
   std::vector<std::size_t> solve_donor_;
   std::vector<std::size_t> solve_list_;  ///< loop indices needing Newton
 
-  // Thermal kernel evaluation mode + gather scratch (ThermalEval::kBatched).
-  ThermalEval thermal_eval_ = ThermalEval::kBatched;
+  // Gather scratch for the batched HX kernel (integrate_thermal).
   std::vector<double> th_q_sec_;
   std::vector<double> th_q_branch_;
   std::vector<double> th_heat_;

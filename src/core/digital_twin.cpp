@@ -42,7 +42,7 @@ DigitalTwin::DigitalTwin(const SystemConfig& config)
 DigitalTwin::DigitalTwin(const SystemConfig& config, const DigitalTwinOptions& options)
     : config_(config),
       engine_(config, RapsEngine::Options{options.start_time_s, options.collect_series,
-                                          options.power_eval}),
+                                          options.power_eval, options.engine}),
       collect_series_(options.collect_series) {
   if (options.enable_cooling) {
     fmu_ = std::make_unique<CoolingFmu>(config);

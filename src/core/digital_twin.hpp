@@ -54,6 +54,9 @@ struct DigitalTwinOptions {
   /// kFullRecompute re-creates the pre-event-core hot path for legacy
   /// benchmarking of the coupled twin.
   RapsEngine::PowerEval power_eval = RapsEngine::PowerEval::kIncremental;
+  /// Time advance, passed through to RapsEngine — kTickLoop runs the
+  /// fixed-step validation reference under the coupled twin.
+  EngineMode engine = EngineMode::kEventDriven;
   /// Initial plant temperature seed AND the default constant wet bulb.
   /// Precedence for the ambient boundary condition, highest first:
   ///   1. set_wetbulb_series()  — a telemetry/synthetic series;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// @file engine.hpp
-/// The RAPS simulation engine (paper Algorithm 1).
+/// The RAPS engine, which advances the simulated machine (paper Algorithm 1).
 ///
 /// Time lives on a tick_s grid, but the engine is *event-driven*: run_until
 /// jumps straight to the next tick where something can happen — the
@@ -13,8 +13,9 @@
 /// incrementally (see power_model.hpp). The cooling model callback fires on
 /// every cooling-quantum boundary — exactly the paper's RAPS <-> FMU
 /// coupling. The legacy fixed-step loop is retained behind
-/// SimulationConfig::engine = EngineMode::kTickLoop as the validation
-/// reference; both modes produce bit-identical reports and series.
+/// Options::engine = EngineMode::kTickLoop as the validation reference the
+/// tests and benches select; both modes produce bit-identical reports and
+/// series.
 ///
 /// Energy accounting semantics: power is piecewise-constant between
 /// samples, and every run_until(t_end) closes the integrals exactly at
@@ -52,6 +53,17 @@ struct JobStartLogEntry {
   double start_time_s = 0.0;
 };
 
+/// How RapsEngine::run_until advances simulated time.
+enum class EngineMode {
+  /// Jump directly between events (arrivals, completions, cooling-quantum
+  /// and trace-quantum boundaries) quantized to the tick grid. Default;
+  /// bit-identical to the tick loop and ~an order of magnitude faster.
+  kEventDriven,
+  /// Legacy fixed-step loop ticking every tick_s. Kept as the validation
+  /// reference the event-driven core is asserted against.
+  kTickLoop,
+};
+
 /// The resource-allocator-and-power-simulator engine.
 class RapsEngine {
  public:
@@ -71,6 +83,7 @@ class RapsEngine {
     /// long parameter sweeps that only need the final report).
     bool collect_series = true;
     PowerEval power_eval = PowerEval::kIncremental;
+    EngineMode engine = EngineMode::kEventDriven;
   };
 
   explicit RapsEngine(const SystemConfig& config);

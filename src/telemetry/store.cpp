@@ -51,11 +51,18 @@ Json job_to_json(const JobRecord& j) {
   return o;
 }
 
+/// Strict like the config documents: a key job_to_json never writes is a
+/// ConfigError, and so is a node_count outside int.
 JobRecord job_from_json(const Json& o) {
+  static const std::vector<std::string> kKeys = {
+      "name", "id", "node_count", "submit_time_s", "wall_time_s", "mean_cpu_util",
+      "mean_gpu_util", "fixed_start_time_s", "partition", "user", "priority",
+      "cpu_util_trace", "gpu_util_trace"};
+  reject_unknown_keys(o, kKeys, "telemetry job", "job");
   JobRecord j;
   j.name = o.string_or("name", "");
   j.id = o.int_or("id", 0);
-  j.node_count = static_cast<int>(o.int_or("node_count", 0));
+  j.node_count = narrow_int(o.int_or("node_count", 0), "job.node_count");
   j.submit_time_s = o.number_or("submit_time_s", 0.0);
   j.wall_time_s = o.number_or("wall_time_s", 0.0);
   j.mean_cpu_util = o.number_or("mean_cpu_util", 0.0);
@@ -123,23 +130,6 @@ void append_series(CsvDocument& doc, const std::string& tag, const std::string& 
     doc.add_row({tag, channel, format_double(series.time(i)),
                  format_double(series.value(i))});
   }
-}
-
-/// Extracts one channel from a long-format document (reference path: one
-/// full document scan per call).
-TimeSeries extract_series(const CsvDocument& doc, const std::string& tag,
-                          const std::string& channel) {
-  const std::size_t tag_col = doc.column("tag");
-  const std::size_t ch_col = doc.column("channel");
-  const std::size_t t_col = doc.column("time_s");
-  const std::size_t v_col = doc.column("value");
-  TimeSeries out;
-  for (std::size_t r = 0; r < doc.row_count(); ++r) {
-    const auto& row = doc.row(r);
-    if (row[tag_col] != tag || row[ch_col] != channel) continue;
-    out.push_back(parse_double(row[t_col], "time_s"), parse_double(row[v_col], "value"));
-  }
-  return out;
 }
 
 /// Streams one long-format channel CSV into `frame`: a single pass over
@@ -393,42 +383,6 @@ DatasetFrame load_dataset_frame(const std::string& directory,
 
 TelemetryDataset load_dataset(const std::string& directory) {
   return load_dataset_frame(directory).to_dataset();
-}
-
-TelemetryDataset load_dataset_reference(const std::string& directory) {
-  const Json manifest = Json::load_file(directory + "/manifest.json");
-  require(manifest.string_or("format", "") == kExadigitCsvFormat,
-          "unexpected dataset format in manifest");
-  TelemetryDataset d;
-  d.system_name = manifest.string_or("system_name", "");
-  d.start_time_s = manifest.number_or("start_time_s", 0.0);
-  d.duration_s = manifest.number_or("duration_s", 0.0);
-  d.trace_quantum_s = manifest.number_or("trace_quantum_s", 15.0);
-
-  const Json jobs = Json::load_file(directory + "/jobs.json");
-  for (const auto& j : jobs.as_array()) d.jobs.push_back(job_from_json(j));
-
-  const CsvDocument system = CsvDocument::load(directory + "/system.csv");
-  for (const SystemChannelDef& def : system_channel_defs()) {
-    d.*(def.member) = extract_series(system, kSystemTag, def.name);
-  }
-
-  const CsvDocument cdu = CsvDocument::load(directory + "/cdu.csv");
-  const std::size_t cdu_count = static_cast<std::size_t>(manifest.int_or("cdu_count", 0));
-  d.cdus.resize(cdu_count);
-  for (std::size_t i = 0; i < cdu_count; ++i) {
-    const std::string tag = cdu_tag(i);
-    for (const CduChannelDef& def : cdu_channel_defs()) {
-      d.cdus[i].*(def.member) = extract_series(cdu, tag, def.name);
-    }
-  }
-
-  const CsvDocument facility = CsvDocument::load(directory + "/facility.csv");
-  for (const FacilityChannelDef& def : facility_channel_defs()) {
-    d.facility.*(def.member) = extract_series(facility, kFacilityTag, def.name);
-  }
-  d.validate();
-  return d;
 }
 
 }  // namespace exadigit

@@ -21,9 +21,9 @@
 /// Both native loads are single-pass and columnar: each channel file is
 /// parsed exactly once into a TelemetryFrame (see frame.hpp), then the
 /// frame's arrays are moved into the TelemetryDataset schema slots. The
-/// original per-channel-rescan CSV loader survives as
-/// load_dataset_reference(), the correctness reference the columnar and
-/// binary paths are validated against.
+/// original per-channel-rescan CSV loader lives on in the store tests as
+/// the correctness reference the columnar and binary paths are validated
+/// against.
 
 #include <cstdint>
 #include <map>
@@ -119,13 +119,10 @@ void save_dataset_binary(const TelemetryDataset& dataset, const std::string& dir
 /// (load_dataset_frame + to_dataset).
 [[nodiscard]] TelemetryDataset load_dataset(const std::string& directory);
 
-/// The original O(channels x rows) exadigit-csv loader (one full document
-/// scan per channel), kept as the reference path for equivalence tests.
-[[nodiscard]] TelemetryDataset load_dataset_reference(const std::string& directory);
-
 /// jobs.json entry (de)serialization, shared with the chunked writer/reader
 /// (chunk.cpp) so the job schema cannot drift between the monolithic and
-/// chunked layouts.
+/// chunked layouts. The reader is strict: an unknown key or a node_count
+/// outside int is a ConfigError naming it.
 [[nodiscard]] Json telemetry_job_to_json(const JobRecord& job);
 [[nodiscard]] JobRecord telemetry_job_from_json(const Json& json);
 

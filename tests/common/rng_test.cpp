@@ -98,6 +98,24 @@ TEST(RngTest, LognormalZeroStdIsConstant) {
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_std(10.0, 0.0), 10.0);
 }
 
+/// A zero sigma (a zero UQ sigma) returns the mean without building a
+/// distribution with stddev 0, whose precondition is stddev > 0, and still
+/// advances the stream exactly as a positive sigma does.
+TEST(RngTest, NormalZeroSigmaReturnsMeanAndKeepsTheStreamAligned) {
+  Rng zero(16);
+  Rng one(16);
+  EXPECT_EQ(zero.normal(3.0, 0.0), 3.0);
+  (void)one.normal(3.0, 1.0);
+  EXPECT_EQ(zero.uniform(), one.uniform());
+  EXPECT_EQ(zero.normal(0.0, 2.0), one.normal(0.0, 2.0));
+}
+
+TEST(RngTest, NormalRejectsNegativeOrNanSigma) {
+  Rng rng(17);
+  EXPECT_THROW(rng.normal(0.0, -1.0), ConfigError);
+  EXPECT_THROW(rng.normal(0.0, std::nan("")), ConfigError);
+}
+
 TEST(RngTest, BernoulliProbability) {
   Rng rng(14);
   int heads = 0;

@@ -1,10 +1,10 @@
 /// Cross-validation of the deduplicated hydraulics fast path
-/// (HydraulicsEval::kDedup) against the always-solve reference: a churning
-/// coupled run with staging events, blockages, and forced pump speeds must
-/// produce every PlantOutputs field within 1e-12 relative (bit-identical in
-/// practice — reuse is keyed on exact parameter/warm-start equality), plus
-/// energy-consistency guards that would catch stale outputs on the fast
-/// path.
+/// (HydraulicsEval::kDedup) against the always-solve reference, selected
+/// per plant with set_hydraulics_eval: a churning coupled run with staging
+/// events, blockages, and forced pump speeds must produce every
+/// PlantOutputs field bit-identically (reuse is keyed on exact
+/// parameter/warm-start equality), plus energy-consistency guards that
+/// would catch stale outputs on the fast path.
 
 #include <gtest/gtest.h>
 
@@ -17,53 +17,47 @@
 namespace exadigit {
 namespace {
 
-constexpr double kRelTol = 1e-12;
-
-void expect_rel_eq(double a, double b, const std::string& what, int step,
-                   double rel_tol) {
-  const double scale = std::max({std::abs(a), std::abs(b), 1e-30});
-  EXPECT_LE(std::abs(a - b) / scale, rel_tol) << what << " diverged at step " << step
-                                              << ": " << a << " vs " << b;
+void expect_same(double a, double b, const std::string& what, int step) {
+  EXPECT_EQ(a, b) << what << " diverged at step " << step;
 }
 
-/// `rel_tol` = 0 demands bit-identical outputs (NaN never matches).
-void expect_outputs_match(const PlantOutputs& a, const PlantOutputs& b, int step,
-                          double rel_tol = kRelTol) {
+/// Every output bit-identical (a NaN never matches).
+void expect_outputs_match(const PlantOutputs& a, const PlantOutputs& b, int step) {
   ASSERT_EQ(a.cdus.size(), b.cdus.size());
   for (std::size_t i = 0; i < a.cdus.size(); ++i) {
     const CduOutputs& x = a.cdus[i];
     const CduOutputs& y = b.cdus[i];
     const std::string tag = "cdu[" + std::to_string(i) + "].";
-    expect_rel_eq(x.pump_power_w, y.pump_power_w, tag + "pump_power_w", step, rel_tol);
-    expect_rel_eq(x.pump_speed, y.pump_speed, tag + "pump_speed", step, rel_tol);
-    expect_rel_eq(x.sec_flow_m3s, y.sec_flow_m3s, tag + "sec_flow_m3s", step, rel_tol);
-    expect_rel_eq(x.pri_flow_m3s, y.pri_flow_m3s, tag + "pri_flow_m3s", step, rel_tol);
-    expect_rel_eq(x.sec_supply_t_c, y.sec_supply_t_c, tag + "sec_supply_t_c", step, rel_tol);
-    expect_rel_eq(x.sec_return_t_c, y.sec_return_t_c, tag + "sec_return_t_c", step, rel_tol);
-    expect_rel_eq(x.sec_supply_p_pa, y.sec_supply_p_pa, tag + "sec_supply_p_pa", step, rel_tol);
-    expect_rel_eq(x.sec_return_p_pa, y.sec_return_p_pa, tag + "sec_return_p_pa", step, rel_tol);
-    expect_rel_eq(x.valve_position, y.valve_position, tag + "valve_position", step, rel_tol);
-    expect_rel_eq(x.hex_duty_w, y.hex_duty_w, tag + "hex_duty_w", step, rel_tol);
-    expect_rel_eq(x.pri_return_t_c, y.pri_return_t_c, tag + "pri_return_t_c", step, rel_tol);
-    expect_rel_eq(x.loop_dp_pa, y.loop_dp_pa, tag + "loop_dp_pa", step, rel_tol);
+    expect_same(x.pump_power_w, y.pump_power_w, tag + "pump_power_w", step);
+    expect_same(x.pump_speed, y.pump_speed, tag + "pump_speed", step);
+    expect_same(x.sec_flow_m3s, y.sec_flow_m3s, tag + "sec_flow_m3s", step);
+    expect_same(x.pri_flow_m3s, y.pri_flow_m3s, tag + "pri_flow_m3s", step);
+    expect_same(x.sec_supply_t_c, y.sec_supply_t_c, tag + "sec_supply_t_c", step);
+    expect_same(x.sec_return_t_c, y.sec_return_t_c, tag + "sec_return_t_c", step);
+    expect_same(x.sec_supply_p_pa, y.sec_supply_p_pa, tag + "sec_supply_p_pa", step);
+    expect_same(x.sec_return_p_pa, y.sec_return_p_pa, tag + "sec_return_p_pa", step);
+    expect_same(x.valve_position, y.valve_position, tag + "valve_position", step);
+    expect_same(x.hex_duty_w, y.hex_duty_w, tag + "hex_duty_w", step);
+    expect_same(x.pri_return_t_c, y.pri_return_t_c, tag + "pri_return_t_c", step);
+    expect_same(x.loop_dp_pa, y.loop_dp_pa, tag + "loop_dp_pa", step);
   }
   EXPECT_EQ(a.htwp_staged, b.htwp_staged) << "step " << step;
-  expect_rel_eq(a.htwp_speed, b.htwp_speed, "htwp_speed", step, rel_tol);
-  expect_rel_eq(a.htwp_power_w, b.htwp_power_w, "htwp_power_w", step, rel_tol);
+  expect_same(a.htwp_speed, b.htwp_speed, "htwp_speed", step);
+  expect_same(a.htwp_power_w, b.htwp_power_w, "htwp_power_w", step);
   EXPECT_EQ(a.ehx_staged, b.ehx_staged) << "step " << step;
-  expect_rel_eq(a.pri_supply_t_c, b.pri_supply_t_c, "pri_supply_t_c", step, rel_tol);
-  expect_rel_eq(a.pri_return_t_c, b.pri_return_t_c, "pri_return_t_c", step, rel_tol);
-  expect_rel_eq(a.pri_flow_m3s, b.pri_flow_m3s, "pri_flow_m3s", step, rel_tol);
-  expect_rel_eq(a.pri_dp_pa, b.pri_dp_pa, "pri_dp_pa", step, rel_tol);
+  expect_same(a.pri_supply_t_c, b.pri_supply_t_c, "pri_supply_t_c", step);
+  expect_same(a.pri_return_t_c, b.pri_return_t_c, "pri_return_t_c", step);
+  expect_same(a.pri_flow_m3s, b.pri_flow_m3s, "pri_flow_m3s", step);
+  expect_same(a.pri_dp_pa, b.pri_dp_pa, "pri_dp_pa", step);
   EXPECT_EQ(a.ct_cells_staged, b.ct_cells_staged) << "step " << step;
   EXPECT_EQ(a.ctwp_staged, b.ctwp_staged) << "step " << step;
-  expect_rel_eq(a.ctwp_speed, b.ctwp_speed, "ctwp_speed", step, rel_tol);
-  expect_rel_eq(a.ctwp_power_w, b.ctwp_power_w, "ctwp_power_w", step, rel_tol);
-  expect_rel_eq(a.fan_speed, b.fan_speed, "fan_speed", step, rel_tol);
-  expect_rel_eq(a.fan_power_w, b.fan_power_w, "fan_power_w", step, rel_tol);
-  expect_rel_eq(a.ct_supply_t_c, b.ct_supply_t_c, "ct_supply_t_c", step, rel_tol);
-  expect_rel_eq(a.ct_return_t_c, b.ct_return_t_c, "ct_return_t_c", step, rel_tol);
-  expect_rel_eq(a.pue, b.pue, "pue", step, rel_tol);
+  expect_same(a.ctwp_speed, b.ctwp_speed, "ctwp_speed", step);
+  expect_same(a.ctwp_power_w, b.ctwp_power_w, "ctwp_power_w", step);
+  expect_same(a.fan_speed, b.fan_speed, "fan_speed", step);
+  expect_same(a.fan_power_w, b.fan_power_w, "fan_power_w", step);
+  expect_same(a.ct_supply_t_c, b.ct_supply_t_c, "ct_supply_t_c", step);
+  expect_same(a.ct_return_t_c, b.ct_return_t_c, "ct_return_t_c", step);
+  expect_same(a.pue, b.pue, "pue", step);
 }
 
 /// Drives both plants through an identical churn script: per-CDU load
@@ -96,15 +90,12 @@ void churn_step(CoolingPlantModel& plant, int step, const SystemConfig& config) 
 TEST(PlantDedupTest, ChurnRunMatchesAlwaysSolveReference) {
   const SystemConfig config = frontier_system_config();
 
-  SystemConfig fast_config = config;
-  fast_config.cooling.hydraulics = HydraulicsEval::kDedup;
-  CoolingPlantModel fast(fast_config);
+  CoolingPlantModel fast(config);
   fast.reset(20.0);
-  EXPECT_EQ(fast.hydraulics_eval(), HydraulicsEval::kDedup);
+  EXPECT_EQ(fast.hydraulics_eval(), HydraulicsEval::kDedup);  // the default
 
-  SystemConfig ref_config = config;
-  ref_config.cooling.hydraulics = HydraulicsEval::kAlwaysSolve;
-  CoolingPlantModel ref(ref_config);
+  CoolingPlantModel ref(config);
+  ref.set_hydraulics_eval(HydraulicsEval::kAlwaysSolve);
   ref.reset(20.0);
   EXPECT_EQ(ref.hydraulics_eval(), HydraulicsEval::kAlwaysSolve);
 
@@ -128,8 +119,7 @@ TEST(PlantDedupTest, ChurnRunMatchesAlwaysSolveReference) {
 }
 
 TEST(PlantDedupTest, UnperturbedPlantCollapsesCduSolves) {
-  SystemConfig config = frontier_system_config();
-  config.cooling.hydraulics = HydraulicsEval::kDedup;
+  const SystemConfig config = frontier_system_config();
   CoolingPlantModel plant(config);
   plant.reset(20.0);
   const long long performed0 = plant.hydraulics_stats().solves_performed;
@@ -178,8 +168,7 @@ TEST(PlantDedupTest, ResetClearsCountersAndStaysExact) {
 /// state, and PUE / aux_power_w stay consistent with the component powers
 /// (stale shared solutions would break both).
 TEST(PlantDedupTest, EnergyAndPueConsistentUnderDedup) {
-  SystemConfig config = frontier_system_config();
-  config.cooling.hydraulics = HydraulicsEval::kDedup;
+  const SystemConfig config = frontier_system_config();
   CoolingPlantModel plant(config);
   plant.reset(20.0);
 
@@ -261,8 +250,8 @@ TEST(PlantDedupTest, ClearedBlockageRejoinsDedupAfterReset) {
     const long long never = performed(never_blocked) - before_never;
     EXPECT_EQ(performed(cleared) - before_cleared, never) << "step " << step;
     EXPECT_EQ(performed(reset_only) - before_reset_only, never) << "step " << step;
-    expect_outputs_match(cleared.outputs(), ref.outputs(), step, /*rel_tol=*/0.0);
-    expect_outputs_match(reset_only.outputs(), ref.outputs(), step, /*rel_tol=*/0.0);
+    expect_outputs_match(cleared.outputs(), ref.outputs(), step);
+    expect_outputs_match(reset_only.outputs(), ref.outputs(), step);
     if (HasFatalFailure()) return;
   }
 }

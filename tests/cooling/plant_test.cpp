@@ -196,71 +196,6 @@ TEST_F(PlantTest, InputValidation) {
   EXPECT_THROW(plant.set_rack_blockage(0, 0, 0.0), ConfigError);
 }
 
-/// Churn script for the thermal-kernel oracle: asymmetric per-CDU loads, a
-/// weather ramp that forces staging, a blockage, and a forced pump speed.
-void churn_step(CoolingPlantModel& plant, int step, const SystemConfig& config) {
-  const int n = config.cdu_count;
-  CoolingInputs in;
-  in.cdu_heat_w.resize(static_cast<std::size_t>(n));
-  const double sys_mw = 17.0 + 9.0 * std::sin(step * 0.01);
-  for (int i = 0; i < n; ++i) {
-    const double weight = 1.0 + 0.3 * std::sin(0.7 * i + 0.05 * step);
-    in.cdu_heat_w[static_cast<std::size_t>(i)] =
-        units::watts_from_mw(sys_mw) * config.cooling.cooling_efficiency * weight /
-        static_cast<double>(n);
-  }
-  in.wetbulb_c = 12.0 + 10.0 * std::sin(step * 0.004);
-  in.system_power_w = units::watts_from_mw(sys_mw);
-  if (step == 100) plant.set_rack_blockage(3, 1, 0.35);
-  if (step == 260) plant.set_rack_blockage(3, 1, 1.0);
-  if (step == 160) plant.force_cdu_pump_speed(7, 0.55);
-  if (step == 320) plant.force_cdu_pump_speed(7, -1.0);
-  plant.step(in, config.cooling.step_s);
-}
-
-void expect_outputs_bit_identical(const PlantOutputs& a, const PlantOutputs& b, int step) {
-  ASSERT_EQ(a.cdus.size(), b.cdus.size());
-  for (std::size_t i = 0; i < a.cdus.size(); ++i) {
-    const std::string tag = "cdu[" + std::to_string(i) + "] step " + std::to_string(step);
-    EXPECT_EQ(a.cdus[i].pump_power_w, b.cdus[i].pump_power_w) << tag;
-    EXPECT_EQ(a.cdus[i].pump_speed, b.cdus[i].pump_speed) << tag;
-    EXPECT_EQ(a.cdus[i].sec_flow_m3s, b.cdus[i].sec_flow_m3s) << tag;
-    EXPECT_EQ(a.cdus[i].pri_flow_m3s, b.cdus[i].pri_flow_m3s) << tag;
-    EXPECT_EQ(a.cdus[i].sec_supply_t_c, b.cdus[i].sec_supply_t_c) << tag;
-    EXPECT_EQ(a.cdus[i].sec_return_t_c, b.cdus[i].sec_return_t_c) << tag;
-    EXPECT_EQ(a.cdus[i].hex_duty_w, b.cdus[i].hex_duty_w) << tag;
-    EXPECT_EQ(a.cdus[i].loop_dp_pa, b.cdus[i].loop_dp_pa) << tag;
-  }
-  EXPECT_EQ(a.htwp_staged, b.htwp_staged) << "step " << step;
-  EXPECT_EQ(a.htwp_power_w, b.htwp_power_w) << "step " << step;
-  EXPECT_EQ(a.pri_supply_t_c, b.pri_supply_t_c) << "step " << step;
-  EXPECT_EQ(a.pri_return_t_c, b.pri_return_t_c) << "step " << step;
-  EXPECT_EQ(a.ct_cells_staged, b.ct_cells_staged) << "step " << step;
-  EXPECT_EQ(a.fan_power_w, b.fan_power_w) << "step " << step;
-  EXPECT_EQ(a.pue, b.pue) << "step " << step;
-}
-
-TEST(PlantThermalEvalTest, BatchedKernelBitIdenticalToScalarReference) {
-  // ThermalEval::kScalar is the per-CDU reference path for the gathered/
-  // batched HX kernel; a churning run must match it to the last bit (the
-  // batch performs the same operations in the same order per element).
-  const SystemConfig config = frontier_system_config();
-  CoolingPlantModel batched(config);  // kBatched is the default
-  CoolingPlantModel scalar(config);
-  scalar.set_thermal_eval(ThermalEval::kScalar);
-  for (int step = 0; step < 400; ++step) {
-    churn_step(batched, step, config);
-    churn_step(scalar, step, config);
-    if (step % 50 == 0) {
-      expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), step);
-    }
-  }
-  expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), 400);
-  // Only the batched path counts kernel evaluations; the reference leaves 0.
-  EXPECT_GT(batched.thermal_stats().hx_evaluated, 0);
-  EXPECT_EQ(scalar.thermal_stats().hx_evaluated, 0);
-}
-
 /// Property sweep: the plant settles to a physical steady state across the
 /// whole operating envelope (load x weather).
 struct PlantOperatingPoint {

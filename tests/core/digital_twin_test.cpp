@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 
@@ -147,6 +150,101 @@ TEST(DigitalTwinTest, OffGridTailHeatNotDropped) {
   // secondary return temperature.
   EXPECT_NE(with_tail.cooling().outputs().cdus[0].sec_return_t_c,
             on_grid.cooling().outputs().cdus[0].sec_return_t_c);
+}
+
+/// Reference-path A/B at the twin level. The references are C++ selectors,
+/// not config: DigitalTwinOptions::engine (forwarded to RapsEngine) picks the
+/// fixed-step tick loop, CoolingPlantModel::set_hydraulics_eval the
+/// always-solve hydraulics. A coupled run under either must reproduce the
+/// default run's report and every recorded channel bit for bit.
+struct CoupledRun {
+  Report report;
+  std::vector<TimeSeries> channels;
+  CoolingPlantModel::HydraulicsStats hydraulics;
+};
+
+CoupledRun run_coupled(const DigitalTwinOptions& options, HydraulicsEval hydraulics) {
+  const SystemConfig config = frontier_system_config();
+  const double duration = 2.0 * units::kSecondsPerHour;
+  DigitalTwin twin(config, options);
+  twin.cooling().plant().set_hydraulics_eval(hydraulics);
+  // A wet-bulb swing and an HPL step on a synthetic mix: staging churn.
+  TimeSeries wetbulb;
+  for (double t = 0.0; t <= duration; t += 60.0) {
+    wetbulb.push_back(t, 14.0 + 8.0 * std::sin(t / 1500.0));
+  }
+  twin.set_wetbulb_series(std::move(wetbulb));
+  WorkloadGenerator gen(config.workload, config, Rng(11));
+  twin.submit_all(gen.generate(0.0, duration));
+  twin.submit(make_hpl_job(0.4 * duration, 1800.0));
+  twin.run_until(duration);
+
+  CoupledRun r;
+  r.report = twin.report();
+  const RapsEngine& engine = twin.engine();
+  r.channels = {engine.power_series_mw(),      engine.loss_series_mw(),
+                engine.utilization_series(),   engine.eta_series(),
+                twin.pue_series(),             twin.htws_temp_series(),
+                twin.pri_return_temp_series(), twin.htw_supply_pressure_series(),
+                twin.cooling_efficiency_series()};
+  for (CduSeries& cdu : twin.cdu_series()) {
+    for (TimeSeries* s : {&cdu.pri_flow_gpm, &cdu.sec_flow_gpm, &cdu.return_temp_c,
+                          &cdu.supply_temp_c, &cdu.pump_power_w}) {
+      r.channels.push_back(std::move(*s));
+    }
+  }
+  for (TimeSeries& s : twin.cdu_rack_power_series()) r.channels.push_back(std::move(s));
+  r.hydraulics = twin.cooling().plant().hydraulics_stats();
+  return r;
+}
+
+void expect_runs_identical(const CoupledRun& a, const CoupledRun& b) {
+  const Report& x = a.report;
+  const Report& y = b.report;
+  EXPECT_EQ(x.duration_s, y.duration_s);
+  EXPECT_EQ(x.jobs_submitted, y.jobs_submitted);
+  EXPECT_EQ(x.jobs_completed, y.jobs_completed);
+  EXPECT_EQ(x.jobs_rejected, y.jobs_rejected);
+  EXPECT_EQ(x.max_queue_depth, y.max_queue_depth);
+  EXPECT_EQ(x.avg_wait_s, y.avg_wait_s);
+  EXPECT_EQ(x.makespan_s, y.makespan_s);
+  EXPECT_EQ(x.avg_power_mw, y.avg_power_mw);
+  EXPECT_EQ(x.min_power_mw, y.min_power_mw);
+  EXPECT_EQ(x.max_power_mw, y.max_power_mw);
+  EXPECT_EQ(x.total_energy_mwh, y.total_energy_mwh);
+  EXPECT_EQ(x.avg_loss_mw, y.avg_loss_mw);
+  EXPECT_EQ(x.max_loss_mw, y.max_loss_mw);
+  EXPECT_EQ(x.avg_eta_system, y.avg_eta_system);
+  EXPECT_EQ(x.avg_utilization, y.avg_utilization);
+  EXPECT_EQ(x.carbon_tons, y.carbon_tons);
+  EXPECT_EQ(x.energy_cost_usd, y.energy_cost_usd);
+  ASSERT_EQ(a.channels.size(), b.channels.size());
+  for (std::size_t c = 0; c < a.channels.size(); ++c) {
+    const TimeSeries& s = a.channels[c];
+    const TimeSeries& t = b.channels[c];
+    ASSERT_EQ(s.size(), t.size()) << "channel " << c;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      ASSERT_EQ(s.time(i), t.time(i)) << "channel " << c << " sample " << i;
+      ASSERT_EQ(s.value(i), t.value(i)) << "channel " << c << " sample " << i;
+    }
+  }
+}
+
+TEST(DigitalTwinTest, TickLoopMatchesEventDrivenBitwise) {
+  DigitalTwinOptions tick;
+  tick.engine = EngineMode::kTickLoop;
+  const CoupledRun event = run_coupled(DigitalTwinOptions{}, HydraulicsEval::kDedup);
+  ASSERT_GT(event.channels.front().size(), 400u);  // 2 h of 15 s quanta
+  expect_runs_identical(event, run_coupled(tick, HydraulicsEval::kDedup));
+}
+
+TEST(DigitalTwinTest, AlwaysSolveMatchesDedupBitwise) {
+  const CoupledRun dedup = run_coupled(DigitalTwinOptions{}, HydraulicsEval::kDedup);
+  const CoupledRun ref = run_coupled(DigitalTwinOptions{}, HydraulicsEval::kAlwaysSolve);
+  expect_runs_identical(dedup, ref);
+  // The selector took effect: the reference re-solves what dedup reuses.
+  EXPECT_GT(dedup.hydraulics.solves_reused(), 0);
+  EXPECT_GT(ref.hydraulics.solves_performed, dedup.hydraulics.solves_performed);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -346,91 +347,44 @@ TEST(ScenarioRunnerTest, RunsBatchWithItsOwnSettings) {
   EXPECT_GE(results[1].metric("extended_htws_c"), results[0].metric("extended_htws_c"));
 }
 
-/// A simulation.engine config delta selects the legacy tick loop for A/B
-/// validation batches; both engines must produce bit-identical simulate
-/// results.
-TEST(ScenarioRunnerTest, SimulateEngineParamTickMatchesEvent) {
-  auto make_spec = [](const char* engine) {
+/// What-if deltas change the machine or the policy, never the solver's
+/// arithmetic: a delta setting a removed reference-path key, to a value it
+/// used to take or to a bad one, fails with a ConfigError naming its path.
+/// (tests/core/digital_twin_test.cpp runs the tick-loop and always-solve
+/// A/B tests through their C++ selectors.)
+TEST(ScenarioRunnerTest, ReferencePathKeysAreRejected) {
+  auto simulate_spec = [] {
     ScenarioSpec spec;
-    spec.name = std::string("sim-") + engine;
+    spec.name = "sim";
     spec.type = "simulate";
     spec.horizon_hours = 0.25;
     spec.seed = 11;
-    Json params;
-    params["cooling"] = false;
-    spec.params = std::move(params);
-    spec.config_delta["simulation"]["engine"] = Json(std::string(engine));
     return spec;
   };
-  const ScenarioResult event = ScenarioRegistry::instance().run(make_spec("event"));
-  const ScenarioResult tick = ScenarioRegistry::instance().run(make_spec("tick"));
-  ASSERT_EQ(event.summary.size(), tick.summary.size());
-  for (std::size_t i = 0; i < event.summary.size(); ++i) {
-    EXPECT_EQ(event.summary[i].value, tick.summary[i].value)
-        << "metric " << event.summary[i].name;
-  }
-  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("warp")), ConfigError);
-}
-
-/// A cooling.hydraulics config delta selects the always-solve reference for
-/// cooling A/B batches; both strategies must produce bit-identical simulate
-/// results (the dedup reuse is keyed on exact operating-point equality).
-TEST(ScenarioRunnerTest, SimulateHydraulicsParamAlwaysSolveMatchesDedup) {
-  auto make_spec = [](const char* hydraulics) {
-    ScenarioSpec spec;
-    spec.name = std::string("sim-") + hydraulics;
-    spec.type = "simulate";
-    spec.horizon_hours = 0.25;
-    spec.seed = 11;
-    spec.config_delta["cooling"]["hydraulics"] = Json(std::string(hydraulics));
-    return spec;
+  struct Removed {
+    const char* section;
+    const char* key;
+    std::vector<const char*> values;
   };
-  const ScenarioResult dedup = ScenarioRegistry::instance().run(make_spec("dedup"));
-  const ScenarioResult ref = ScenarioRegistry::instance().run(make_spec("always_solve"));
-  ASSERT_EQ(dedup.summary.size(), ref.summary.size());
-  for (std::size_t i = 0; i < dedup.summary.size(); ++i) {
-    EXPECT_EQ(dedup.summary[i].value, ref.summary[i].value)
-        << "metric " << dedup.summary[i].name;
+  const Removed removed[] = {{"simulation", "engine", {"event", "tick", "warp"}},
+                             {"cooling", "hydraulics", {"dedup", "always_solve", "sometimes"}},
+                             {"cooling", "thermal", {"batched", "scalar", "vectorish"}}};
+  for (const Removed& r : removed) {
+    const std::string path = std::string(r.section) + "." + r.key;
+    for (const char* value : r.values) {
+      ScenarioSpec spec = simulate_spec();
+      spec.config_delta[r.section][r.key] = Json(std::string(value));
+      try {
+        (void)ScenarioRegistry::instance().run(spec);
+        ADD_FAILURE() << path << " = " << value << " was accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+      }
+    }
   }
-  const TimeSeries& pue_a = dedup.channels.at("pue");
-  const TimeSeries& pue_b = ref.channels.at("pue");
-  ASSERT_EQ(pue_a.size(), pue_b.size());
-  for (std::size_t i = 0; i < pue_a.size(); ++i) {
-    EXPECT_EQ(pue_a.values()[i], pue_b.values()[i]) << "pue sample " << i;
-  }
-  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("sometimes")), ConfigError);
-}
-
-/// A cooling.thermal config delta selects the HX-kernel variant for A/B
-/// batches; both variants must produce bit-identical simulate results (the
-/// batched kernel's same-operation-order lane math).
-TEST(ScenarioRunnerTest, SimulateThermalParamStaysBitIdentical) {
-  auto make_spec = [](const char* thermal) {
-    ScenarioSpec spec;
-    spec.name = std::string("sim-") + thermal;
-    spec.type = "simulate";
-    spec.horizon_hours = 0.25;
-    spec.seed = 11;
-    spec.config_delta["cooling"]["thermal"] = Json(std::string(thermal));
-    return spec;
-  };
-  const ScenarioResult batched = ScenarioRegistry::instance().run(make_spec("batched"));
-  const ScenarioResult scalar = ScenarioRegistry::instance().run(make_spec("scalar"));
-  ASSERT_EQ(batched.summary.size(), scalar.summary.size());
-  for (std::size_t i = 0; i < batched.summary.size(); ++i) {
-    EXPECT_EQ(batched.summary[i].value, scalar.summary[i].value)
-        << "metric " << batched.summary[i].name;
-  }
-  const TimeSeries& pue_a = batched.channels.at("pue");
-  const TimeSeries& pue_b = scalar.channels.at("pue");
-  ASSERT_EQ(pue_a.size(), pue_b.size());
-  for (std::size_t i = 0; i < pue_a.size(); ++i) {
-    EXPECT_EQ(pue_a.values()[i], pue_b.values()[i]) << "pue sample " << i;
-  }
-  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("vectorish")), ConfigError);
 
   // The removed per-twin "threads" param is rejected, not ignored.
-  ScenarioSpec threads = make_spec("batched");
+  ScenarioSpec threads = simulate_spec();
   threads.params["threads"] = Json(static_cast<std::int64_t>(2));
   EXPECT_THROW(ScenarioRegistry::instance().run(threads), ConfigError);
 }

@@ -8,13 +8,71 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
+#include "json/json.hpp"
 #include "telemetry/frame.hpp"
 
 namespace exadigit {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Extracts one channel from a long-format document: one full document
+/// scan per call.
+TimeSeries extract_series(const CsvDocument& doc, const std::string& tag,
+                          const std::string& channel) {
+  const std::size_t tag_col = doc.column("tag");
+  const std::size_t ch_col = doc.column("channel");
+  const std::size_t t_col = doc.column("time_s");
+  const std::size_t v_col = doc.column("value");
+  TimeSeries out;
+  for (std::size_t r = 0; r < doc.row_count(); ++r) {
+    const auto& row = doc.row(r);
+    if (row[tag_col] != tag || row[ch_col] != channel) continue;
+    out.push_back(parse_double(row[t_col], "time_s"), parse_double(row[v_col], "value"));
+  }
+  return out;
+}
+
+/// The original O(channels x rows) exadigit-csv loader, the reference the
+/// columnar and binary loaders are checked against.
+TelemetryDataset load_dataset_reference(const std::string& directory) {
+  const Json manifest = Json::load_file(directory + "/manifest.json");
+  require(manifest.string_or("format", "") == kExadigitCsvFormat,
+          "unexpected dataset format in manifest");
+  TelemetryDataset d;
+  d.system_name = manifest.string_or("system_name", "");
+  d.start_time_s = manifest.number_or("start_time_s", 0.0);
+  d.duration_s = manifest.number_or("duration_s", 0.0);
+  d.trace_quantum_s = manifest.number_or("trace_quantum_s", 15.0);
+
+  const Json jobs = Json::load_file(directory + "/jobs.json");
+  for (const auto& j : jobs.as_array()) d.jobs.push_back(telemetry_job_from_json(j));
+
+  const CsvDocument system = CsvDocument::load(directory + "/system.csv");
+  for (const SystemChannelDef& def : system_channel_defs()) {
+    d.*(def.member) = extract_series(system, kSystemTag, def.name);
+  }
+
+  const CsvDocument cdu = CsvDocument::load(directory + "/cdu.csv");
+  const std::size_t cdu_count = static_cast<std::size_t>(manifest.int_or("cdu_count", 0));
+  d.cdus.resize(cdu_count);
+  for (std::size_t i = 0; i < cdu_count; ++i) {
+    const std::string tag = cdu_tag(i);
+    for (const CduChannelDef& def : cdu_channel_defs()) {
+      d.cdus[i].*(def.member) = extract_series(cdu, tag, def.name);
+    }
+  }
+
+  const CsvDocument facility = CsvDocument::load(directory + "/facility.csv");
+  for (const FacilityChannelDef& def : facility_channel_defs()) {
+    d.facility.*(def.member) = extract_series(facility, kFacilityTag, def.name);
+  }
+  d.validate();
+  return d;
+}
 
 TelemetryDataset sample_dataset() {
   TelemetryDataset d;
@@ -389,6 +447,40 @@ TEST_F(StoreTest, DatasetLoadIsLocaleIndependent) {
   save_dataset(d, dir_);
   expect_datasets_identical(load_dataset(dir_), d);
   expect_datasets_identical(load_dataset_reference(dir_), d);
+}
+
+/// jobs.json entries read strictly: a node_count outside int used to wrap
+/// (4294967297 loaded as a 1-node job) and an unknown key was dropped.
+TEST_F(StoreTest, JobReaderRejectsOutOfRangeNodeCountAndUnknownKeys) {
+  auto error_of = [](const char* text) -> std::string {
+    try {
+      (void)telemetry_job_from_json(Json::parse(text));
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string wrapped =
+      error_of(R"({"id": 7, "node_count": 4294967297, "wall_time_s": 60})");
+  EXPECT_NE(wrapped.find("job.node_count"), std::string::npos) << wrapped;
+  const std::string unknown =
+      error_of(R"({"id": 7, "node_count": 4, "wall_time_s": 60, "bogus_key": 1})");
+  EXPECT_NE(unknown.find("job.bogus_key"), std::string::npos) << unknown;
+
+  // Every key the writer emits is accepted and read back.
+  JobRecord full = sample_dataset().jobs.front();
+  full.partition = "gpu";
+  full.user = "alice";
+  full.priority = 2.5;
+  full.gpu_util_trace = {0.7, 0.8};
+  const Json written = telemetry_job_to_json(full);
+  EXPECT_EQ(written.as_object().size(), 13u);
+  const JobRecord back = telemetry_job_from_json(written);
+  EXPECT_EQ(back.node_count, full.node_count);
+  EXPECT_EQ(back.partition, full.partition);
+  EXPECT_EQ(back.user, full.user);
+  EXPECT_EQ(back.priority, full.priority);
+  EXPECT_EQ(back.gpu_util_trace, full.gpu_util_trace);
 }
 
 TEST_F(StoreTest, CustomReaderRegistration) {
